@@ -245,7 +245,12 @@ let run requests clients window seed alpha timeout socket tcp shards jobs
       conns
   done;
   let wall_s = float_of_int (now_ns () - t_start) *. 1e-9 in
-  (* Final service-side stats (per-shard balance) on a fresh conn. *)
+  (* Final service-side stats (per-shard balance) on a fresh conn. A
+     stats answer carries the worker counter blocks of the previous
+     stats probe, so refresh them first and give the now idle workers a
+     moment to answer. *)
+  ignore (control_round_trip addr {|{"type":"stats"}|});
+  Unix.sleepf 0.2;
   let service_stats = control_round_trip addr {|{"type":"stats"}|} in
   Array.iter (fun c -> Wire.close c.conn) conns;
   let counts tbl =

@@ -38,6 +38,7 @@ let aggregate_json (a : Runner.aggregate) =
             a.Runner.optima));
        ("cache_hits", Int a.Runner.cache_hits);
        ("cache_misses", Int a.Runner.cache_misses);
+       ("cache_known_timeouts", Int a.Runner.cache_known_timeouts);
        ("cache_hit_rate", Float (Runner.hit_rate a));
        ("latency", Stp_telemetry.Hist.snapshot_json a.Runner.latency) ]
      @

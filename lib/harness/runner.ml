@@ -25,6 +25,7 @@ type aggregate = {
   optima : (int * int) list;
   cache_hits : int;
   cache_misses : int;
+  cache_known_timeouts : int;
   profile : Stp_util.Profile.snapshot option;
   latency : Stp_telemetry.Hist.snapshot;
 }
@@ -109,13 +110,14 @@ let run_collection ?(timeout = 5.0) ?(jobs = 1) ?cache ?on_instance engine
   let mean_per_solution =
     if mean_solutions = 0.0 then 0.0 else mean_time /. mean_solutions
   in
-  let cache_hits, cache_misses =
+  let cache_hits, cache_misses, cache_known_timeouts =
     match (cache, cache_before) with
     | Some c, Some before ->
       let after = Npn_cache.stats c in
       ( after.Npn_cache.hits - before.Npn_cache.hits,
-        after.Npn_cache.misses - before.Npn_cache.misses )
-    | _ -> (0, 0)
+        after.Npn_cache.misses - before.Npn_cache.misses,
+        after.Npn_cache.known_timeouts - before.Npn_cache.known_timeouts )
+    | _ -> (0, 0, 0)
   in
   { name = E.name;
     solved = !solved;
@@ -129,6 +131,7 @@ let run_collection ?(timeout = 5.0) ?(jobs = 1) ?cache ?on_instance engine
       List.sort Stdlib.compare (Hashtbl.fold (fun k v acc -> (k, v) :: acc) optima []);
     cache_hits;
     cache_misses;
+    cache_known_timeouts;
     profile =
       (if Stp_util.Profile.enabled () then Some (Stp_util.Profile.snapshot ())
        else None);

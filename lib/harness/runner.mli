@@ -41,6 +41,9 @@ type aggregate = {
   cache_hits : int;         (** NPN-cache hits during this run (0 when
                                 run without a cache) *)
   cache_misses : int;       (** NPN-cache misses during this run *)
+  cache_known_timeouts : int;
+    (** NPN-cache lookups answered [Timeout] by a timeout record,
+        without a solve *)
   profile : Stp_util.Profile.snapshot option;
     (** per-stage timers and counters for this run, when
         {!Stp_util.Profile.enabled} (e.g. under [table1 --profile]);

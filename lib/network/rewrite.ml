@@ -53,6 +53,7 @@ type candidate = {
 let delta_stats (s0 : Npn_cache.stats) (s1 : Npn_cache.stats) =
   { Npn_cache.hits = s1.hits - s0.hits;
     misses = s1.misses - s0.misses;
+    known_timeouts = s1.known_timeouts - s0.known_timeouts;
     bypassed = s1.bypassed - s0.bypassed;
     failures = s1.failures - s0.failures }
 
@@ -295,4 +296,5 @@ let pass ?(options = default_options) ?cache () =
                 ("candidates", r.candidates);
                 ("classes", r.classes);
                 ("cache_hits", r.cache.Npn_cache.hits);
-                ("cache_misses", r.cache.Npn_cache.misses) ] } )) }
+                ("cache_misses", r.cache.Npn_cache.misses);
+                ("cache_known_timeouts", r.cache.Npn_cache.known_timeouts) ] } )) }

@@ -77,6 +77,6 @@ val verify_equivalent : Ntk.t -> Ntk.t -> bool * string
 
 val pass : ?options:options -> ?cache:Stp_synth.Npn_cache.t -> unit -> Pass.t
 (** The rewriter as a pipeline pass named ["rewrite"]; stats carry
-    [applied]/[candidates]/[classes]/[cache_hits]/[cache_misses] in
-    [detail]. Register it with {!Pass.register} to make it reachable
-    from a [--passes] spec. *)
+    [applied]/[candidates]/[classes]/[cache_hits]/[cache_misses]/
+    [cache_known_timeouts] in [detail]. Register it with
+    {!Pass.register} to make it reachable from a [--passes] spec. *)

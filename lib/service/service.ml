@@ -101,6 +101,7 @@ type shard = {
   mutable spawned_ns : int;
   mutable respawn_at_ns : int;
   mutable sat : Json.t;  (* last solver-counter block the worker reported *)
+  mutable npn_cache : Json.t;  (* last NPN-cache counter block, likewise *)
 }
 
 (* Tickets carrying this uid are service-internal probes (per-shard
@@ -291,13 +292,12 @@ let deliver state (t : ticket) resp =
   | None -> state.responses <- state.responses + 1 (* client gone; drop *)
 
 (* Absorb a worker's answer to a service-internal stats probe: keep its
-   solver counter block for the next stats response. *)
+   solver and NPN-cache counter blocks for the next stats response. *)
 let absorb_internal shard resp =
   match Json.of_string resp with
-  | Ok json -> (
-    match Json.member "sat" json with
-    | Some sat -> shard.sat <- sat
-    | None -> ())
+  | Ok json ->
+    Option.iter (fun sat -> shard.sat <- sat) (Json.member "sat" json);
+    Option.iter (fun c -> shard.npn_cache <- c) (Json.member "npn_cache" json)
   | Error _ -> ()
 
 (* Ask every live worker for fresh solver counters. The probes ride the
@@ -333,7 +333,8 @@ let shard_json s =
       ("inflight", Json.Int (Queue.length s.inflight));
       ("queued", Json.Int (Queue.length s.waiting));
       ("restarts", Json.Int s.restarts);
-      ("sat", s.sat) ]
+      ("sat", s.sat);
+      ("npn_cache", s.npn_cache) ]
 
 let stalled_now state =
   Hashtbl.fold
@@ -722,7 +723,8 @@ let serve (config : config) =
           restarts = 0;
           spawned_ns = 0;
           respawn_at_ns = 0;
-          sat = Json.Null })
+          sat = Json.Null;
+          npn_cache = Json.Null })
   in
   (* Placeholder conns above never enter the loop: spawn real workers
      first, closing the placeholders. *)

@@ -25,8 +25,10 @@
       and re-dispatches their unanswered in-flight requests to the
       replacement, so a [kill -9]'d shard loses no accepted request;
     - answers [{"type":"ping"}] and [{"type":"stats"}] itself; stats
-      includes per-shard routed/answered/queue-depth/restart counts,
-      client and backpressure-stall counts, and the full telemetry
+      includes per-shard routed/answered/queue-depth/restart counts
+      with each worker's [sat] and [npn_cache] counter blocks (as of
+      the previous stats request: the refresh probes ride the worker
+      pipes), client and backpressure-stall counts, and the full telemetry
       snapshot (the same block is exported as the ["service"]
       {!Stp_telemetry.Telemetry} probe).
 

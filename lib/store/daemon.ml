@@ -91,7 +91,20 @@ let sat_json () =
 
 let () = Telemetry.register_probe "sat" (fun () -> sat_json ())
 
-let stats_response config =
+(* The NPN caches' counters, summed over engines; [null] when the cache
+   is off. *)
+let npn_cache_json caches =
+  if caches = [] then Report.Null
+  else
+    let sum f = List.fold_left (fun acc (_, c) -> acc + f c) 0 caches in
+    let stat f = sum (fun c -> f (Npn_cache.stats c)) in
+    Report.Obj
+      [ ("hits", Report.Int (stat (fun s -> s.Npn_cache.hits)));
+        ("misses", Report.Int (stat (fun s -> s.Npn_cache.misses)));
+        ("known_timeouts", Report.Int (stat (fun s -> s.Npn_cache.known_timeouts)));
+        ("unproven_classes", Report.Int (sum Npn_cache.unproven)) ]
+
+let stats_response config caches =
   [ ("status", Report.String "ok");
     ("version", Report.String version);
     ("uptime_s", Report.Float (uptime_s ()));
@@ -99,6 +112,7 @@ let stats_response config =
     ("batches", Report.Int (Atomic.get batches_total));
     ("store", store_json config);
     ("sat", sat_json ());
+    ("npn_cache", npn_cache_json caches);
     ("telemetry", Telemetry.snapshot_json ()) ]
 
 (* Histogram per answer provenance: [synthd/source/cache] is a replay,
@@ -107,6 +121,16 @@ let stats_response config =
    an empty-handed timeout. *)
 let observe_source source elapsed =
   Hist.observe_s (Hist.get ("synthd/source/" ^ source)) elapsed
+
+(* One request through the engine's cache, if it has one. Uncached, a
+   timeout degrades to the member's own Shannon bound. *)
+let solve cache (module S : Engine.S) spec ~deadline =
+  match cache with
+  | Some c -> Npn_cache.solve c S.synthesize spec ~deadline
+  | None ->
+    { Npn_cache.result = S.synthesize spec ~deadline;
+      source = Npn_cache.Solve;
+      upper_bound = lazy (Stp_synth.Baselines.upper_bound spec.Engine.target) }
 
 let handle config caches line =
   Atomic.incr requests_total;
@@ -118,7 +142,7 @@ let handle config caches line =
     let field name = Report.member name json in
     match field "type" with
     | Some (Report.String "ping") -> respond ?id (pong config)
-    | Some (Report.String "stats") -> respond ?id (stats_response config)
+    | Some (Report.String "stats") -> respond ?id (stats_response config caches)
     | Some (Report.String other) ->
       error_response ?id (Printf.sprintf "unknown request type %S" other)
     | Some _ -> error_response ?id "\"type\" must be a string"
@@ -141,18 +165,19 @@ let handle config caches line =
         | target ->
           let cache = find_cache caches (Engine.name engine) in
           (* [observed] outermost: the per-engine histogram and span
-             cover cache replays too, like the collection runner's. *)
+             cover cache replays too, like the collection runner's. The
+             answer keeps its provenance and its bound beside it. *)
+          let answer = ref None in
           let (module E : Engine.S) =
             Engine.observed
-              (match cache with
-               | None -> engine
-               | Some c -> Npn_cache.wrap c engine)
-          in
-          (* Attribution is advisory: another domain may store the class
-             between this check and the lookup, which only flips the
-             reported [source], never the answer. *)
-          let was_cached =
-            match cache with Some c -> Npn_cache.cached c target | None -> false
+              (module struct
+                let name = Engine.name engine
+
+                let synthesize spec ~deadline =
+                  let a = solve cache engine spec ~deadline in
+                  answer := Some a;
+                  a.Npn_cache.result
+              end)
           in
           let span_args =
             ("engine", Engine.name engine)
@@ -168,18 +193,33 @@ let handle config caches line =
               (Engine.spec ~memo:(Domain.DLS.get memo_key) target)
               ~deadline:(Deadline.after timeout)
           in
+          let answer = Option.get !answer in
+          (* Graceful degradation: a verified, non-optimal chain beats
+             an empty answer for netlist callers. It is built before
+             the clock stops — a class's first bound costs a search
+             over input orders. *)
+          let bound =
+            match result with
+            | Engine.Timeout -> (
+              match Lazy.force answer.Npn_cache.upper_bound with
+              | chain -> Some chain
+              | exception Invalid_argument _ -> None)
+            | Engine.Solved _ | Engine.Infeasible -> None
+          in
           let elapsed = Stp_util.Unix_time.now () -. t0 in
           let elapsed_field = ("elapsed_s", Report.Float elapsed) in
           (match result with
            | Engine.Solved chains ->
+             let replayed = answer.Npn_cache.source = Npn_cache.Replay in
              Profile.incr Profile.Requests_solved;
-             if was_cached then Profile.incr Profile.Requests_cached;
-             observe_source (if was_cached then "cache" else "solver") elapsed;
+             if replayed then Profile.incr Profile.Requests_cached;
+             let source = if replayed then "cache" else "solver" in
+             observe_source source elapsed;
              respond ?id
                [ ("status", Report.String "solved");
                  ("gates", Report.Int (Chain.size (List.hd chains)));
                  ("chains", Report.List (List.map chain_json chains));
-                 ("source", Report.String (if was_cached then "cache" else "solver"));
+                 ("source", Report.String source);
                  elapsed_field ]
            | Engine.Infeasible ->
              observe_source "solver" elapsed;
@@ -189,10 +229,8 @@ let handle config caches line =
                  elapsed_field ]
            | Engine.Timeout -> (
              Profile.incr Profile.Requests_timed_out;
-             (* Graceful degradation: a verified, non-optimal chain beats
-                an empty answer for netlist callers. *)
-             match Stp_synth.Baselines.upper_bound target with
-             | chain ->
+             match bound with
+             | Some chain ->
                Profile.incr Profile.Requests_degraded;
                observe_source "degraded" elapsed;
                respond ?id
@@ -201,7 +239,7 @@ let handle config caches line =
                    ("chains", Report.List [ chain_json chain ]);
                    ("source", Report.String "upper_bound");
                    elapsed_field ]
-             | exception Invalid_argument _ ->
+             | None ->
                observe_source "timeout" elapsed;
                respond ?id
                  [ ("status", Report.String "timeout"); elapsed_field ]))))

@@ -24,8 +24,11 @@
     v}
 
     [status] is ["solved"] (optimum chains), ["upper_bound"] (the
-    deadline expired; [chains] holds one verified non-optimal chain
-    from {!Stp_synth.Baselines.upper_bound} — graceful degradation),
+    deadline expired; [chains] holds one verified, possibly non-optimal
+    chain — graceful degradation: the NPN class's best-known bound
+    ({!Stp_synth.Npn_cache.answer}) replayed onto the target, or with
+    the cache off the target's own
+    {!Stp_synth.Baselines.upper_bound}),
     ["infeasible"] (no chain within the gate budget; constants),
     ["timeout"] (deadline expired and no upper bound exists), or
     ["error"] (malformed request; see the [error] field). [source]
@@ -37,7 +40,11 @@
     engine consults its own NPN-class cache, seeded from the optional
     persistent {!Store} and absorbed back after every batch; the store
     is flushed (atomic rename) after each batch and on shutdown, so a
-    SIGTERM mid-batch never loses previously flushed classes.
+    SIGTERM mid-batch never loses previously flushed classes. The cache
+    also remembers, in memory only, which classes timed out under which
+    budget: a request for such a class with no larger a [timeout] gets
+    its [upper_bound] answer at once instead of burning the deadline
+    again.
 
     Two control request types bypass synthesis (satisfying [n]/[tt] is
     not required):
@@ -46,7 +53,10 @@
       {!version}, [uptime_s] and the store path (or [null]) — a cheap
       liveness probe.
     - [{"type": "stats"}] answers with [status = "ok"], uptime, total
-      request/batch counts, the store persistence stats, and the full
+      request/batch counts, the store persistence stats, the process's
+      CDCL counters ([sat]), the NPN caches' [hits], [misses],
+      [known_timeouts] and [unproven_classes] summed over engines
+      ([npn_cache]; [null] with the cache off), and the full
       {!Stp_telemetry.Telemetry.snapshot_json} — including the
       [synthd/source/*] latency histograms (one per answer provenance:
       [solver], [cache], [degraded], [timeout]) and [synthd/batch],

@@ -20,10 +20,21 @@
     domains of a parallel collection run: a class solved by one domain
     is a replay for every other. (The wrapped solver itself runs
     outside the lock; two domains missing on the same class
-    concurrently both solve it, and the first store wins.) Entries are
-    only written for solved instances — timeouts are never cached,
-    since solvability under a wall-clock budget is not a class
-    property.
+    concurrently both solve it, and the first store wins.)
+
+    Timeouts are remembered per class, by budget. A miss always solves
+    the class {e representative}, so a retry of a class that timed out
+    reruns the very search that already failed. When the wrapped solver
+    returns [Timeout], the class gets a {e timeout record}: "timed out
+    under a budget of b seconds", b being {!Stp_util.Deadline.budget}
+    of the request's deadline. A later lookup whose budget is [<= b]
+    answers [Timeout] at once (a {!stats.known_timeouts}, not a miss);
+    a larger budget retries and, if it times out too, raises b. A
+    [Solved] result supersedes the record. The same record holds the
+    class's best-known upper bound ({!answer.upper_bound}), computed
+    once. Records are never [Solved] answers: they are kept in memory
+    only, never listed by {!entries} or counted by {!classes}, and so
+    never persisted — a fresh process re-learns them.
 
     Functions whose support exceeds [max_support] (default 6, the
     practical bound of exhaustive canonicalisation) bypass the cache
@@ -40,16 +51,44 @@ val create : ?max_support:int -> unit -> t
 type solver = Engine.spec -> deadline:Stp_util.Deadline.t -> Engine.result
 (** The shape of {!Engine.S.synthesize} as a plain function. *)
 
-val wrap : t -> (module Engine.S) -> (module Engine.S)
-(** [wrap t e] is an engine with identical per-instance semantics that
-    consults the cache first. Cache misses solve the {e class
-    representative} (so the entry serves the whole class) and replay
-    the result onto the concrete target. Keep one cache per engine:
-    entries store the wrapped engine's chain sets, and engines differ
-    in how many optimum chains they return. *)
+type source =
+  | Replay  (** a cached optimum replayed onto the target *)
+  | Solve
+      (** the wrapped solver ran (a miss, a bypass, a fallback), or the
+          target needed no search *)
+  | Known_timeout  (** a timeout record answered without a solve *)
+
+type answer = {
+  result : Engine.result;
+  source : source;
+  upper_bound : Stp_chain.Chain.t Lazy.t;
+      (** a verified chain for the target, for callers degrading a
+          [Timeout]: the class's best-known upper bound —
+          {!Baselines.upper_bound} of the representative under each of
+          its input orders, the smallest kept — replayed through the
+          inverse transform and re-simulated like a cached optimum.
+          Computed on force, once per timed-out class. Targets the
+          cache does not canonicalise get their own
+          {!Baselines.upper_bound}; forcing raises [Invalid_argument]
+          on constants. *)
+}
+
+val solve : t -> solver -> Engine.spec -> deadline:Stp_util.Deadline.t -> answer
+(** [solve t s spec ~deadline] answers [spec] through the cache: a
+    replay when the class is cached, [Timeout] when a record shows the
+    class timing out under at least this budget, and otherwise a solve
+    of the {e class representative} by [s] (so the entry serves the
+    whole class), replayed onto the concrete target. The target is
+    canonicalised once, for the answer and its bound alike. *)
 
 val wrap_solver : t -> solver -> solver
-(** [wrap] at the function level, for callers not holding a module. *)
+(** The [result] of {!solve}. *)
+
+val wrap : t -> (module Engine.S) -> (module Engine.S)
+(** [wrap t e] is an engine with identical per-instance semantics that
+    answers through {!solve}. Keep one cache per engine: entries store
+    the wrapped engine's chain sets, and engines differ in how many
+    optimum chains they return. *)
 
 val synthesize :
   ?options:Spec.options -> ?memo:Factor.memo -> t -> Stp_tt.Tt.t -> Spec.result
@@ -59,10 +98,13 @@ val synthesize :
 type stats = {
   hits : int;      (** lookups answered by replaying a cached class *)
   misses : int;    (** lookups that had to run a full synthesis *)
+  known_timeouts : int;
+    (** lookups answered [Timeout] at once by a timeout record *)
   bypassed : int;  (** instances too wide to canonicalise *)
   failures : int;
     (** replayed chains that failed re-simulation (a transform-algebra
-        bug surfaced — the instance was re-solved directly) *)
+        bug surfaced — the instance was re-solved directly, or given
+        its own {!Baselines.upper_bound}) *)
 }
 
 val stats : t -> stats
@@ -73,12 +115,9 @@ val hit_rate : t -> float
 val classes : t -> int
 (** Number of distinct NPN classes currently cached. *)
 
-val cached : t -> Stp_tt.Tt.t -> bool
-(** Would this target be answered by a cache replay right now? (Its
-    class representative is cached and it is neither constant, trivial,
-    nor too wide.) Advisory under concurrency — used by the daemon to
-    attribute a response to cache vs. solver — and does not count as a
-    lookup in {!stats}. *)
+val unproven : t -> int
+(** Number of classes holding a timeout record (none of them counted by
+    {!classes}). *)
 
 (** {1 Persistence hooks} *)
 

@@ -4,6 +4,7 @@ type t =
   | Never
   | At of {
       limit : float;
+      budget : float;
       interval : int;
       mutable countdown : int;
       mutable hit : bool;
@@ -19,6 +20,7 @@ let after ?(poll_interval = default_poll_interval) s =
   if poll_interval < 1 then invalid_arg "Deadline.after: poll_interval < 1";
   At
     { limit = Unix_time.now () +. s;
+      budget = s;
       interval = poll_interval;
       countdown = 0;
       hit = false }
@@ -50,6 +52,8 @@ let expired = function
     end
 
 let check d = if expired d then raise Timeout
+
+let budget = function Never -> infinity | At d -> d.budget
 
 let remaining = function
   | Never -> infinity

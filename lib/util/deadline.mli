@@ -40,6 +40,12 @@ val expired : t -> bool
 val check : t -> unit
 (** [check d] raises {!Timeout} if [d] has expired. *)
 
+val budget : t -> float
+(** [budget d] is the span [d] was created with: [s] for [after s],
+    infinite for {!never}. Unlike {!remaining} it does not shrink as
+    time passes, so it names the budget a solve ran under — what the
+    NPN cache keys its timeout records by. *)
+
 val remaining : t -> float
 (** [remaining d] is the number of seconds left (infinite for {!never});
     unlike {!expired} this always reads the clock. *)

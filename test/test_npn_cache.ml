@@ -1,7 +1,8 @@
 (* Tests for the NPN-class synthesis cache: chains returned via a cache
    hit must simulate to the concrete target and carry the same optimum
    gate count as a cold synthesis; the cache must replay — not
-   re-search — for further members of an already-solved class. *)
+   re-search — for further members of an already-solved class, and must
+   not re-run a search that already timed out under as large a budget. *)
 
 module Tt = Stp_tt.Tt
 module Npn = Stp_tt.Npn
@@ -9,6 +10,10 @@ module Chain = Stp_chain.Chain
 module Spec = Stp_synth.Spec
 module Stp_exact = Stp_synth.Stp_exact
 module Npn_cache = Stp_synth.Npn_cache
+module Engine = Stp_synth.Engine
+module Baselines = Stp_synth.Baselines
+module Store = Stp_store.Store
+module Deadline = Stp_util.Deadline
 module Prng = Stp_util.Prng
 
 let options = Spec.with_timeout 60.0
@@ -170,10 +175,134 @@ let test_timeouts_not_cached () =
   in
   Alcotest.(check bool) "timed out" true (r.Spec.status = Spec.Timeout);
   Alcotest.(check int) "nothing cached" 0 (Npn_cache.classes cache);
+  (* The timeout is remembered only as a record: no entry, and the same
+     budget is answered without a second search. *)
+  Alcotest.(check int) "one timeout record" 1 (Npn_cache.unproven cache);
+  Alcotest.(check int) "no entries" 0 (List.length (Npn_cache.entries cache));
+  let again =
+    Npn_cache.synthesize ~options:(Spec.with_timeout 0.0005) cache f
+  in
+  Alcotest.(check bool) "still timed out" true (again.Spec.status = Spec.Timeout);
+  let s = Npn_cache.stats cache in
+  Alcotest.(check int) "answered by the record" 1 s.Npn_cache.known_timeouts;
+  Alcotest.(check int) "one search so far" 1 s.Npn_cache.misses;
   (* With budget restored the same cache must now solve and store. *)
   let r2 = Npn_cache.synthesize ~options cache f in
   check_solved "after timeout" r2;
-  Alcotest.(check int) "class stored" 1 (Npn_cache.classes cache)
+  Alcotest.(check int) "class stored" 1 (Npn_cache.classes cache);
+  Alcotest.(check int) "record superseded" 0 (Npn_cache.unproven cache)
+
+let source_name = function
+  | Npn_cache.Replay -> "replay"
+  | Npn_cache.Solve -> "solve"
+  | Npn_cache.Known_timeout -> "known timeout"
+
+let test_timeout_records_by_budget () =
+  let f = Tt.of_hex ~n:4 "8ff8" in
+  let rng = Prng.create 15 in
+  (* A solver that counts its calls and times out until [solves] is set. *)
+  let calls = ref 0 and solves = ref false in
+  let (module Stp : Engine.S) = Engine.stp in
+  let solver spec ~deadline =
+    incr calls;
+    if !solves then Stp.synthesize spec ~deadline else Engine.Timeout
+  in
+  let cache = Npn_cache.create () in
+  (* Each step asks for a fresh member of the class under [budget] and
+     names the answer's source and the solver calls made so far. *)
+  let step budget ~source ~solved ~calls:expected =
+    let g = Npn.apply f (random_transform rng 4) in
+    let a =
+      Npn_cache.solve cache solver (Engine.spec g)
+        ~deadline:(Deadline.after budget)
+    in
+    let what = Printf.sprintf "budget %g" budget in
+    Alcotest.(check string) (what ^ ": source") source (source_name a.Npn_cache.source);
+    Alcotest.(check int) (what ^ ": solver calls") expected !calls;
+    match a.Npn_cache.result with
+    | Engine.Solved chains when solved ->
+      List.iter
+        (fun c ->
+          Alcotest.(check bool) (what ^ ": simulates") true
+            (Tt.equal (Chain.simulate c) g))
+        chains
+    | Engine.Timeout when not solved -> ()
+    | _ -> Alcotest.failf "%s: unexpected result" what
+  in
+  step 0.25 ~source:"solve" ~solved:false ~calls:1;
+  Alcotest.(check int) "recorded, not cached" 0 (Npn_cache.classes cache);
+  Alcotest.(check int) "one record" 1 (Npn_cache.unproven cache);
+  (* Budgets no larger than the recorded one never reach the solver. *)
+  step 0.25 ~source:"known timeout" ~solved:false ~calls:1;
+  step 0.1 ~source:"known timeout" ~solved:false ~calls:1;
+  (* A larger budget retries, and its timeout raises the record. *)
+  step 0.5 ~source:"solve" ~solved:false ~calls:2;
+  step 0.4 ~source:"known timeout" ~solved:false ~calls:2;
+  step 0.5 ~source:"known timeout" ~solved:false ~calls:2;
+  (* A later solve supersedes the record; small budgets then replay. *)
+  solves := true;
+  step 60.0 ~source:"solve" ~solved:true ~calls:3;
+  step 0.1 ~source:"replay" ~solved:true ~calls:3;
+  Alcotest.(check int) "record gone" 0 (Npn_cache.unproven cache);
+  Alcotest.(check int) "class cached" 1 (Npn_cache.classes cache);
+  let s = Npn_cache.stats cache in
+  Alcotest.(check int) "misses" 3 s.Npn_cache.misses;
+  Alcotest.(check int) "known timeouts" 4 s.Npn_cache.known_timeouts;
+  Alcotest.(check int) "hits" 1 s.Npn_cache.hits
+
+let test_hard_class_bound () =
+  (* A solver that never finishes makes the class hard by construction:
+     every member past the first is answered by the record, with the
+     class bound replayed onto it. *)
+  let f = Tt.of_hex ~n:4 "1ee6" in
+  let rep = fst (Npn.canonical f) in
+  let rep_bound = Chain.size (Baselines.upper_bound rep) in
+  let calls = ref 0 in
+  let timing_out _ ~deadline:_ =
+    incr calls;
+    Engine.Timeout
+  in
+  let cache = Npn_cache.create () in
+  let rng = Prng.create 100 in
+  for _ = 1 to 100 do
+    let g = Npn.apply f (random_transform rng 4) in
+    let a =
+      Npn_cache.solve cache timing_out (Engine.spec g)
+        ~deadline:(Deadline.after 0.25)
+    in
+    Alcotest.(check bool) "never solved" true (a.Npn_cache.result = Engine.Timeout);
+    let c = Lazy.force a.Npn_cache.upper_bound in
+    Alcotest.(check bool) "bound simulates to the member" true
+      (Tt.equal (Chain.simulate c) g);
+    Alcotest.(check bool) "no worse than the representative's bound" true
+      (Chain.size c <= rep_bound)
+  done;
+  Alcotest.(check int) "one search" 1 !calls;
+  let s = Npn_cache.stats cache in
+  Alcotest.(check int) "the rest answered by the record" 99
+    s.Npn_cache.known_timeouts;
+  Alcotest.(check int) "no replay failures" 0 s.Npn_cache.failures;
+  (* The record is never an entry, so never persisted. A solved class
+     beside it shows the store does receive what is proven. *)
+  ignore (Npn_cache.synthesize ~options cache (Tt.of_hex ~n:4 "8ff8"));
+  Alcotest.(check int) "only the solved class is listed" 1
+    (List.length (Npn_cache.entries cache));
+  Alcotest.(check int) "only the solved class is counted" 1
+    (Npn_cache.classes cache);
+  Alcotest.(check bool) "the hard class is not an entry" false
+    (List.exists (fun (canon, _) -> Tt.equal canon rep) (Npn_cache.entries cache));
+  let path = Filename.temp_file "stp_npn_cache_test" ".npn" in
+  let store = Store.create ~path in
+  ignore (Store.absorb store ~section:"STP" cache);
+  Store.flush store;
+  let reloaded = Store.load ~path in
+  Alcotest.(check int) "flushed store holds the solved class only" 1
+    (Store.stats reloaded).Store.classes;
+  let fresh = Npn_cache.create () in
+  ignore (Store.seed reloaded ~section:"STP" fresh);
+  Alcotest.(check int) "reloaded cache knows no timeouts" 0
+    (Npn_cache.unproven fresh);
+  Sys.remove path
 
 let () =
   Alcotest.run "npn_cache"
@@ -192,4 +321,7 @@ let () =
           Alcotest.test_case "trivial targets skip" `Quick
             test_trivial_targets_skip_cache;
           Alcotest.test_case "timeouts not cached" `Quick
-            test_timeouts_not_cached ] ) ]
+            test_timeouts_not_cached;
+          Alcotest.test_case "timeout records keyed by budget" `Quick
+            test_timeout_records_by_budget;
+          Alcotest.test_case "hard class bound" `Quick test_hard_class_bound ] ) ]

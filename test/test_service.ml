@@ -294,6 +294,53 @@ let test_backpressure_stalls_are_counted () =
      Alcotest.(check bool) "stalls counted" true (stalls >= 1));
   Unix.close fd
 
+let test_stats_keep_npn_cache_blocks () =
+  (* A hard class under a microscopic budget: its first request times
+     out, its second is answered by the worker's timeout record. The
+     front-end must keep that worker's npn_cache block per shard. *)
+  let socket = temp_sock () in
+  let pid = spawn_service ~socket () in
+  Fun.protect ~finally:(fun () -> stop_service pid) @@ fun () ->
+  let hex = "b4d2693996c85a17" in
+  let owner = Service.shard_of ~shards:2 (Tt.of_hex ~n:6 hex) in
+  let fd = Wire.connect (Wire.Unix_path socket) in
+  let r = Wire.line_reader fd in
+  let ask line =
+    Wire.send_lines fd [ line ];
+    match Wire.next_line r with
+    | Some line -> parse_response line
+    | None -> Alcotest.fail "EOF from the service"
+  in
+  let hard id =
+    ask (Printf.sprintf {|{"id": %d, "n": 6, "tt": "%s", "timeout": 1e-6}|} id hex)
+  in
+  List.iter
+    (fun id ->
+      Alcotest.(check (option string)) "degraded" (Some "upper_bound")
+        (get_string "status" (hard id)))
+    [ 1; 2 ];
+  (* A stats answer carries the previous probe's worker blocks. This
+     one sends the probe; the owner answers it before the next request
+     on its FIFO pipe, so the second stats sees the refreshed block. *)
+  ignore (ask {|{"type": "stats"}|});
+  ignore (hard 3);
+  let stats = ask {|{"type": "stats"}|} in
+  Unix.close fd;
+  let block =
+    match Report.member "shards" stats with
+    | Some (Report.List shards) ->
+      Option.bind (List.nth_opt shards owner) (Report.member "npn_cache")
+    | _ -> None
+  in
+  match block with
+  | Some b ->
+    Alcotest.(check (option int)) "one search" (Some 1) (get_int "misses" b);
+    Alcotest.(check (option int)) "one short-circuit" (Some 1)
+      (get_int "known_timeouts" b);
+    Alcotest.(check (option int)) "one unproven class" (Some 1)
+      (get_int "unproven_classes" b)
+  | None -> Alcotest.fail "no npn_cache block for the owning shard"
+
 let () =
   Alcotest.run "service"
     [ ( "routing",
@@ -310,4 +357,6 @@ let () =
           Alcotest.test_case "kill -9 a shard loses nothing" `Slow
             test_kill_shard_loses_nothing;
           Alcotest.test_case "backpressure stalls are counted" `Slow
-            test_backpressure_stalls_are_counted ] ) ]
+            test_backpressure_stalls_are_counted;
+          Alcotest.test_case "stats keep each shard's npn_cache block" `Slow
+            test_stats_keep_npn_cache_blocks ] ) ]

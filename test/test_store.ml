@@ -61,10 +61,19 @@ let test_round_trip () =
   let sd = Store.seed store ~section:"STP" cache in
   Alcotest.(check int) "all classes seeded" 4 sd.Store.seeded;
   Alcotest.(check int) "none rejected" 0 sd.Store.seed_rejected;
+  let (module Stp : Engine.S) = Engine.stp in
   List.iter
-    (fun f -> Alcotest.(check bool) "target is cached" true (Npn_cache.cached cache f))
+    (fun f ->
+      let a =
+        Npn_cache.solve cache Stp.synthesize (Engine.spec ~options f)
+          ~deadline:(Spec.deadline_of options)
+      in
+      Alcotest.(check bool) "target is cached" true
+        (a.Npn_cache.source = Npn_cache.Replay);
+      match a.Npn_cache.result with
+      | Engine.Solved _ -> ()
+      | Engine.Timeout | Engine.Infeasible -> Alcotest.fail "expected Solved")
     targets;
-  List.iter (solve_into cache) targets;
   let s = Npn_cache.stats cache in
   Alcotest.(check int) "warm run: zero solver calls" 0 s.Npn_cache.misses;
   Alcotest.(check int) "warm run: all hits" 4 s.Npn_cache.hits;
@@ -392,6 +401,57 @@ let test_handle_degrades_on_timeout () =
   | Some (Report.Int g) -> Alcotest.(check bool) "has gates" true (g > 0)
   | _ -> Alcotest.fail "upper bound carries a gate count"
 
+let test_handle_remembers_timeouts () =
+  (* The hard function above, now through a cache: the first request
+     burns its deadline and leaves a timeout record; the second, under
+     the same budget, is answered from the record — an upper bound for
+     this member, without a second engine call. *)
+  let hex = "b4d2693996c85a17" in
+  let cache = Npn_cache.create () in
+  let ask line =
+    parse_response (Daemon.handle Daemon.default_config [ ("STP", cache) ] line)
+  in
+  let request () = ask (Daemon.request ~timeout:1e-6 ~n:6 hex) in
+  let first = request () in
+  let second = request () in
+  List.iter
+    (fun resp ->
+      Alcotest.(check (option string)) "degraded status" (Some "upper_bound")
+        (get_string "status" resp);
+      Alcotest.(check (option string)) "degraded source" (Some "upper_bound")
+        (get_string "source" resp))
+    [ first; second ];
+  let s = Npn_cache.stats cache in
+  Alcotest.(check int) "one engine call" 1 s.Npn_cache.misses;
+  Alcotest.(check int) "second answered by the record" 1
+    s.Npn_cache.known_timeouts;
+  Alcotest.(check int) "nothing cached as solved" 0 (Npn_cache.classes cache);
+  (match Report.member "npn_cache" (ask (Daemon.control "stats")) with
+   | Some block ->
+     Alcotest.(check bool) "stats count the short-circuit" true
+       (Report.member "known_timeouts" block = Some (Report.Int 1)
+        && Report.member "unproven_classes" block = Some (Report.Int 1))
+   | None -> Alcotest.fail "stats carry no npn_cache block");
+  (* The served chain is the class bound replayed onto this member. *)
+  let target = Tt.of_hex ~n:6 hex in
+  let bound =
+    Lazy.force
+      (Npn_cache.solve cache
+         (fun _ ~deadline:_ -> Alcotest.fail "the record must answer")
+         (Engine.spec target)
+         ~deadline:(Stp_util.Deadline.after 1e-6))
+        .Npn_cache.upper_bound
+  in
+  Alcotest.(check bool) "bound simulates to the member" true
+    (Tt.equal (Chain.simulate bound) target);
+  Alcotest.(check bool) "served chain is the replayed bound" true
+    (Report.member "chains" second
+     = Some (Report.List [ Report.String (Format.asprintf "%a" Chain.pp_compact bound) ]));
+  Alcotest.(check bool) "the first answer already served it" true
+    (Report.member "chains" first = Report.member "chains" second);
+  Alcotest.(check bool) "gate count of the served chain" true
+    (Report.member "gates" second = Some (Report.Int (Chain.size bound)))
+
 let test_handle_rejects_malformed () =
   let status line = get_string "status" (parse_response (Daemon.handle Daemon.default_config [] line)) in
   Alcotest.(check (option string)) "bad JSON" (Some "error") (status "{nope");
@@ -440,6 +500,8 @@ let () =
             test_handle_cache_attribution;
           Alcotest.test_case "degrades to an upper bound" `Quick
             test_handle_degrades_on_timeout;
+          Alcotest.test_case "remembers timed-out classes" `Quick
+            test_handle_remembers_timeouts;
           Alcotest.test_case "rejects malformed requests" `Quick
             test_handle_rejects_malformed;
           Alcotest.test_case "constants are infeasible" `Quick

@@ -136,7 +136,11 @@ let test_deadline_remaining () =
   let d = Deadline.after 1000.0 in
   Alcotest.(check bool) "remaining positive" true (Deadline.remaining d > 0.0);
   Alcotest.(check bool) "never infinite" true
-    (Deadline.remaining Deadline.never = infinity)
+    (Deadline.remaining Deadline.never = infinity);
+  (* The budget is the span itself, fixed while [remaining] shrinks. *)
+  Alcotest.(check (float 0.0)) "budget is the span" 1000.0 (Deadline.budget d);
+  Alcotest.(check bool) "never's budget infinite" true
+    (Deadline.budget Deadline.never = infinity)
 
 let qcheck_vec_roundtrip =
   QCheck.Test.make ~name:"vec of_list/to_list roundtrip" ~count:200
