@@ -296,6 +296,61 @@ let kernels () =
   Format.printf "@.(sink %d)@." (!sink land 1);
   Printf.eprintf "[bench] wrote BENCH_kernels.json\n%!"
 
+(* --- NPN canonicalisation (--npn) ---
+
+   ns per [Npn.canonical] call on seeded random 4-, 5- and 6-input
+   functions, each call timed on its own; p50/p99 over the samples.
+   Every answer is re-checked outside the timed call: [checked] counts
+   the samples whose transform maps the function onto the returned
+   representative. Written to BENCH_npn.json for the CI smoke check. *)
+
+let npn_bench () =
+  let module Npn = Stp_tt.Npn in
+  let module Prng = Stp_util.Prng in
+  let open Stp_harness.Report in
+  let seed = 1 in
+  Format.printf "=== NPN canonicalisation (ns/call, seed %d) ===@.@." seed;
+  Format.printf "%2s %8s %12s %12s %12s %8s@." "n" "samples" "p50_ns" "p99_ns"
+    "words/call" "checked";
+  let rows =
+    List.map
+      (fun (n, samples) ->
+        let prng = Prng.create (seed + n) in
+        let ns = Array.make samples 0 in
+        let checked = ref 0 and words = ref 0.0 in
+        for i = 0 to samples - 1 do
+          let f = Tt.of_fun n (fun _ -> Prng.bool prng) in
+          let w0 = Gc.minor_words () in
+          let t0 = Stp_util.Profile.now_ns () in
+          let rep, tr = Npn.canonical f in
+          ns.(i) <- Stp_util.Profile.now_ns () - t0;
+          words := !words +. (Gc.minor_words () -. w0);
+          if Tt.equal (Npn.apply f tr) rep then incr checked
+        done;
+        Array.sort compare ns;
+        let pct q = ns.(min (samples - 1) (q * samples / 100)) in
+        let words_per_call = !words /. float_of_int samples in
+        Format.printf "%2d %8d %12d %12d %12.1f %8d@." n samples (pct 50)
+          (pct 99) words_per_call !checked;
+        Obj
+          [ ("n", Int n); ("samples", Int samples); ("p50_ns", Int (pct 50));
+            ("p99_ns", Int (pct 99));
+            ("minor_words_per_call", Float words_per_call);
+            ("checked", Int !checked) ])
+      [ (4, 20_000); (5, 4_000); (6, 1_000) ]
+  in
+  let json =
+    Obj
+      [ ("source", String "bench/main --npn"); ("seed", Int seed);
+        ("rows", List rows) ]
+  in
+  let oc = open_out "BENCH_npn.json" in
+  output_string oc (to_string json);
+  output_char oc '\n';
+  close_out oc;
+  Format.printf "@.";
+  Printf.eprintf "[bench] wrote BENCH_npn.json\n%!"
+
 (* --- SAT-core microbenchmarks (--sat) ---
 
    Two parts, written to BENCH_sat.json for the CI smoke check:
@@ -572,6 +627,14 @@ let () =
       & info [ "corpus" ] ~docv:"DIR"
           ~doc:"Directory of .cnf files for the --sat corpus benchmark.")
   in
+  let npn_flag =
+    Arg.(
+      value & flag
+      & info [ "npn" ]
+          ~doc:
+            "Run only the NPN canonicalisation microbenchmark (4, 5 and 6 \
+             inputs) and write BENCH_npn.json.")
+  in
   let sweep_flag =
     Arg.(
       value & flag
@@ -581,11 +644,12 @@ let () =
              three scales) and write BENCH_sweep.json.")
   in
   let run jobs no_npn_cache profile trace metrics kernels_only sat_only
-      sweep_only corpus =
+      npn_only sweep_only corpus =
     Cli.with_telemetry ~trace ~metrics @@ fun () ->
     Stp_util.Profile.set_enabled profile;
     if kernels_only then kernels ()
     else if sat_only then sat_bench ~corpus ()
+    else if npn_only then npn_bench ()
     else if sweep_only then netsweep ()
     else begin
       fig2 ();
@@ -602,6 +666,6 @@ let () =
       (Cmd.info "bench" ~doc:"regenerate the paper's tables and figures")
       Term.(
         const run $ Cli.jobs $ Cli.no_npn_cache $ Cli.profile $ Cli.trace
-        $ Cli.metrics $ kernels_flag $ sat_flag $ sweep_flag $ corpus)
+        $ Cli.metrics $ kernels_flag $ sat_flag $ npn_flag $ sweep_flag $ corpus)
   in
   exit (Cmd.eval cmd)

@@ -33,7 +33,6 @@ type t = {
   lock : Mutex.t;
   table : (Tt.t, entry) Hashtbl.t;
   unproven : (Tt.t, unproven) Hashtbl.t;
-  max_support : int;
   mutable hits : int;
   mutable misses : int;
   mutable known_timeouts : int;
@@ -41,11 +40,13 @@ type t = {
   mutable failures : int;
 }
 
-let create ?(max_support = 6) () =
+(* Wider supports are beyond [Npn.canonical]. *)
+let max_support = 6
+
+let create () =
   { lock = Mutex.create ();
     table = Hashtbl.create 997;
     unproven = Hashtbl.create 97;
-    max_support;
     hits = 0;
     misses = 0;
     known_timeouts = 0;
@@ -119,7 +120,7 @@ let add_entry t canon entry =
      the key survive, sizes must agree, and the key must really be a
      cacheable canonical representative. A corrupt or stale record can
      therefore never poison replays — it is simply dropped. *)
-  if Tt.num_vars canon > t.max_support || not (Npn.is_canonical canon) then
+  if Tt.num_vars canon > max_support || not (Npn.is_canonical canon) then
     false
   else
     let chains =
@@ -222,9 +223,8 @@ let solve t (solver : solver) spec ~deadline =
     match Common.prepare f with
     | `Trivial chain ->
       { result = Engine.Solved [ chain ]; source = Solve; upper_bound = lazy chain }
-    | `Reduced (target, _) when Tt.num_vars target > t.max_support ->
-      (* Exhaustive canonicalisation is impractical this wide; solve
-         directly. *)
+    | `Reduced (target, _) when Tt.num_vars target > max_support ->
+      (* Too wide to canonicalise: solve directly. *)
       locked t (fun () -> t.bypassed <- t.bypassed + 1);
       direct ()
     | `Reduced (target, support) -> (

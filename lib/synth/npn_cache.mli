@@ -36,9 +36,8 @@
     only, never listed by {!entries} or counted by {!classes}, and so
     never persisted — a fresh process re-learns them.
 
-    Functions whose support exceeds [max_support] (default 6, the
-    practical bound of exhaustive canonicalisation) bypass the cache
-    and are solved directly.
+    Functions whose support exceeds 6, the limit of
+    {!Stp_tt.Npn.canonical}, bypass the cache and are solved directly.
 
     Entries can be exported ({!entries}) and re-imported
     ({!add_entry}), which is how {!Stp_store.Store} persists a cache
@@ -46,7 +45,7 @@
 
 type t
 
-val create : ?max_support:int -> unit -> t
+val create : unit -> t
 
 type solver = Engine.spec -> deadline:Stp_util.Deadline.t -> Engine.result
 (** The shape of {!Engine.S.synthesize} as a plain function. *)
@@ -134,7 +133,8 @@ val entries : t -> (Stp_tt.Tt.t * entry) list
 val add_entry : t -> Stp_tt.Tt.t -> entry -> bool
 (** [add_entry t canon entry] seeds the cache with an externally
     persisted class. The entry is sanitised, not trusted: the key must
-    be a canonical representative within [max_support], and only chains
-    of the recorded size that simulate to the key are kept. Returns
+    be the canonical representative of a class of at most 6 inputs, and
+    only chains of the recorded size that simulate to the key are kept.
+    Returns
     [false] (and stores nothing) when nothing survives or the class is
     already cached. *)

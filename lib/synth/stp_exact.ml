@@ -205,32 +205,3 @@ let synthesize ?(options = Spec.default_options) ?memo f =
       Spec.solved ~chains ~gates ~elapsed:(elapsed ())
     | None -> Spec.timed_out ~elapsed:(elapsed ())
     | exception Stp_util.Deadline.Timeout -> Spec.timed_out ~elapsed:(elapsed ()))
-
-let synthesize_npn ?(options = Spec.default_options) ?memo f =
-  let start = Stp_util.Unix_time.now () in
-  let deadline = Spec.deadline_of options in
-  let elapsed () = Stp_util.Unix_time.now () -. start in
-  match Common.prepare f with
-  | `Trivial chain ->
-    Spec.solved ~chains:[ chain ] ~gates:0 ~elapsed:(elapsed ())
-  | `Reduced (target, support) -> (
-    let n = Tt.num_vars f in
-    let canon, tr = Stp_tt.Npn.canonical target in
-    match Common.prepare canon with
-    | `Trivial _ ->
-      (* A non-trivial function cannot have a trivial NPN representative. *)
-      assert false
-    | `Reduced (canon_target, canon_support) -> (
-      match synthesize_reduced ~options ~deadline ~memo canon_target with
-      | Some (gates, chains) ->
-        let inv = Stp_tt.Npn.inverse tr in
-        let chains =
-          chains
-          |> List.map
-               (Common.expand_chain ~n:(Tt.num_vars canon) ~support:canon_support)
-          |> List.map (fun c -> Chain.apply_npn c inv)
-          |> List.map (Common.expand_chain ~n ~support)
-        in
-        Spec.solved ~chains ~gates ~elapsed:(elapsed ())
-      | None -> Spec.timed_out ~elapsed:(elapsed ())
-      | exception Stp_util.Deadline.Timeout -> Spec.timed_out ~elapsed:(elapsed ())))

@@ -31,12 +31,3 @@ val synthesize :
     changes results. The memo's basis must match [options.basis], and a
     memo must never be shared between domains.
     @raise Invalid_argument on constant targets. *)
-
-val synthesize_npn :
-  ?options:Spec.options -> ?memo:Factor.memo -> Stp_tt.Tt.t -> Spec.result
-(** Like {!synthesize}, but canonicalises the target's NPN class first
-    and maps the solutions back — cheaper when many equivalent functions
-    are synthesised, and a direct use of the paper's NPN reduction.
-    Practical for targets of at most 6 support variables. For reuse of
-    the canonical class's solutions across a whole run, see
-    {!Npn_cache}. *)

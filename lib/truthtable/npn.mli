@@ -6,8 +6,11 @@
     table (w.r.t. {!Tt.compare}) over the whole orbit, so canonicity is a
     simple equality test.
 
-    Exhaustive canonicalisation enumerates all [2^n * n! * 2] transforms
-    and is practical for [n <= 6]. *)
+    Canonicalisation walks the whole orbit, all [n! * 2^(n+1)]
+    transforms, on one 64-bit word without allocating: adjacent input
+    swaps in Steinhaus–Johnson–Trotter order, input flips in Gray-code
+    order under each input order, and both output polarities at every
+    step. Tables of up to 6 inputs are supported. *)
 
 type transform = {
   perm : int array;  (** input permutation; see {!apply} *)
@@ -28,8 +31,11 @@ val inverse : transform -> transform
 
 val canonical : Tt.t -> Tt.t * transform
 (** [canonical t] is the class representative [r] together with a
-    transform [tr] such that [apply t tr = r]. Practical for
-    [Tt.num_vars t <= 6]. *)
+    transform [tr] such that [apply t tr = r]. Where [r] has
+    automorphisms, several transforms qualify and [tr] is any one of
+    them; [r] itself is unique. [BENCH_npn.json] records the cost per
+    call.
+    @raise Invalid_argument when [Tt.num_vars t > 6]. *)
 
 val is_canonical : Tt.t -> bool
 
@@ -44,5 +50,5 @@ val permutations : int -> int array list
 val canon4 : int -> int
 (** [canon4 v] is the canonical representative (as a 16-bit integer
     truth table) of the NPN class of the 4-variable function [v]. Backed
-    by a lazily built table over all 65536 functions; O(1) after the
-    first call. *)
+    by a table over all 65536 functions, built on the first call by one
+    orbit walk per class; O(1) after that. *)

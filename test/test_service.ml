@@ -341,6 +341,62 @@ let test_stats_keep_npn_cache_blocks () =
       (get_int "unproven_classes" b)
   | None -> Alcotest.fail "no npn_cache block for the owning shard"
 
+(* The front-end canonicalises every 5- or 6-input request to route
+   it. A client streaming distinct 6-input functions to one shard must
+   not hold up another client's cache hit on the other shard. *)
+let test_wide_stream_does_not_stall_hits () =
+  let socket = temp_sock () in
+  let pid = spawn_service ~socket () in
+  Fun.protect ~finally:(fun () -> stop_service pid) @@ fun () ->
+  let home = Service.shard_of ~shards:2 (Tt.of_hex ~n:4 "8ff8") in
+  let prng = Prng.create 17 in
+  let rec wide acc =
+    if List.length acc = 16 then acc
+    else
+      let f = Tt.of_fun 6 (fun _ -> Prng.bool prng) in
+      let hex = Tt.to_hex f in
+      if Service.shard_of ~shards:2 f = home || List.mem hex acc then wide acc
+      else wide (hex :: acc)
+  in
+  let wide = wide [] in
+  let hitter = Wire.connect (Wire.Unix_path socket) in
+  let hits = Wire.line_reader hitter in
+  let ask id =
+    Wire.send_lines hitter [ request ~id ~n:4 "8ff8" ];
+    match Wire.next_line hits with
+    | Some line -> parse_response line
+    | None -> Alcotest.fail "EOF from the service"
+  in
+  Alcotest.(check (option string)) "the class is solved first" (Some "solved")
+    (get_string "status" (ask 1));
+  let streamer = Wire.connect (Wire.Unix_path socket) in
+  Wire.send_lines streamer
+    (List.mapi
+       (fun i hex ->
+         Printf.sprintf {|{"id": %d, "n": 6, "tt": "%s", "timeout": 1e-6}|}
+           (100 + i) hex)
+       wide);
+  (* Let the front-end take the stream in before the hit arrives. *)
+  Unix.sleepf 0.05;
+  let t0 = Unix.gettimeofday () in
+  let hit = ask 2 in
+  let waited = Unix.gettimeofday () -. t0 in
+  Alcotest.(check (option string)) "a cache hit" (Some "cache")
+    (get_string "source" hit);
+  if waited >= 0.1 then
+    Alcotest.failf "the hit took %.3f s behind the 6-input stream" waited;
+  let streamed = Wire.line_reader streamer in
+  List.iteri
+    (fun i _ ->
+      match Wire.next_line streamed with
+      | Some line ->
+        Alcotest.(check (option int)) "stream answered in order" (Some (100 + i))
+          (get_int "id" (parse_response line))
+      | None -> Alcotest.failf "EOF after %d streamed responses" i)
+    wide;
+  Unix.close streamer;
+  Unix.close hitter
+
 let () =
   Alcotest.run "service"
     [ ( "routing",
@@ -359,4 +415,6 @@ let () =
           Alcotest.test_case "backpressure stalls are counted" `Slow
             test_backpressure_stalls_are_counted;
           Alcotest.test_case "stats keep each shard's npn_cache block" `Slow
-            test_stats_keep_npn_cache_blocks ] ) ]
+            test_stats_keep_npn_cache_blocks;
+          Alcotest.test_case "6-input stream does not stall another client's hit"
+            `Slow test_wide_stream_does_not_stall_hits ] ) ]

@@ -4,6 +4,8 @@
    including SIGTERM survival with a reloadable store. *)
 
 module Tt = Stp_tt.Tt
+module Npn = Stp_tt.Npn
+module Prng = Stp_util.Prng
 module Chain = Stp_chain.Chain
 module Spec = Stp_synth.Spec
 module Engine = Stp_synth.Engine
@@ -145,7 +147,34 @@ let test_sanitised_seed_rejects_corruption () =
         (Npn_cache.add_entry corrupt canon
            { entry with Npn_cache.gates = entry.Npn_cache.gates + 1 }))
     entries;
-  Alcotest.(check int) "nothing seeded" 0 (Npn_cache.classes corrupt)
+  Alcotest.(check int) "nothing seeded" 0 (Npn_cache.classes corrupt);
+  (* A record keyed by a class member other than the representative is
+     rejected even though its chain simulates to the key; the same
+     record under the representative is accepted. *)
+  let prng = Prng.create 11 in
+  List.iter
+    (fun n ->
+      let f = Tt.of_fun n (fun _ -> Prng.bool prng) in
+      let rep = fst (Npn.canonical f) in
+      let member =
+        if Tt.equal f rep then
+          Npn.apply f { (Npn.identity n) with Npn.output_neg = true }
+        else f
+      in
+      let record key =
+        let chain = Stp_synth.Baselines.upper_bound key in
+        { Npn_cache.gates = Chain.size chain; chains = [ chain ] }
+      in
+      Alcotest.(check bool)
+        (Printf.sprintf "%d-input member key rejected" n)
+        false
+        (Npn_cache.add_entry corrupt member (record member));
+      Alcotest.(check bool)
+        (Printf.sprintf "%d-input representative key accepted" n)
+        true
+        (Npn_cache.add_entry corrupt rep (record rep)))
+    [ 4; 5; 6 ];
+  Alcotest.(check int) "only representatives seeded" 3 (Npn_cache.classes corrupt)
 
 let test_concurrent_flush_under_pool () =
   let path = temp_path () in

@@ -8,6 +8,7 @@ module Chain = Stp_chain.Chain
 module Factor = Stp_synth.Factor
 module Spec = Stp_synth.Spec
 module Stp_exact = Stp_synth.Stp_exact
+module Npn_cache = Stp_synth.Npn_cache
 module Baselines = Stp_synth.Baselines
 module Dag = Stp_topology.Dag
 module Prng = Stp_util.Prng
@@ -446,6 +447,8 @@ let test_timeout_reported () =
   Alcotest.(check bool) "timeout" true (r.Spec.status = Spec.Timeout);
   Alcotest.(check (list unit)) "no chains" [] (List.map ignore r.Spec.chains)
 
+(* Canonicalise, solve the representative, replay onto the target:
+   the NPN route must find the direct optimum. *)
 let test_synthesize_npn_agrees () =
   let rng = Prng.create 57 in
   let options = Spec.with_timeout 30.0 in
@@ -453,7 +456,7 @@ let test_synthesize_npn_agrees () =
     let f = Tt.of_fun 3 (fun _ -> Prng.bool rng) in
     if Tt.support_size f >= 2 then begin
       let direct = Stp_exact.synthesize ~options f in
-      let via_npn = Stp_exact.synthesize_npn ~options f in
+      let via_npn = Npn_cache.synthesize ~options (Npn_cache.create ()) f in
       check_solved "direct" direct;
       check_solved "npn" via_npn;
       Alcotest.(check int) "same optimum" (gates_of direct) (gates_of via_npn);

@@ -155,18 +155,68 @@ let test_npn_classes_counts () =
   Alcotest.(check int) "n=3" 14 (List.length (Npn.classes 3));
   Alcotest.(check int) "n=4" 222 (List.length (Npn.classes 4))
 
+let random_transform rng n =
+  let perm = Array.init n (fun i -> i) in
+  Prng.shuffle rng perm;
+  { Npn.perm; input_neg = Prng.bits rng n; output_neg = Prng.bool rng }
+
+(* The reference canonicaliser: every transform applied through
+   [Npn.apply], the least image under [Tt.compare] kept. *)
+let oracle_transforms n =
+  List.concat_map
+    (fun perm ->
+      List.concat_map
+        (fun output_neg ->
+          List.init (1 lsl n) (fun input_neg ->
+              { Npn.perm; input_neg; output_neg }))
+        [ false; true ])
+    (Npn.permutations n)
+
+let oracle_canonical t =
+  List.fold_left
+    (fun best tr ->
+      let image = Npn.apply t tr in
+      if Tt.compare image best < 0 then image else best)
+    t
+    (oracle_transforms (Tt.num_vars t))
+
+(* The oracle's ascending orbit sweep: slot [v] holds the representative
+   of the n-input function [v]; the first member of a class met is its
+   least. *)
+let oracle_sweep n =
+  let reps = Array.make (1 lsl (1 lsl n)) (-1) in
+  let transforms = oracle_transforms n in
+  Array.iteri
+    (fun v r ->
+      if r < 0 then
+        List.iter
+          (fun tr ->
+            let image = Tt.to_int (Npn.apply (Tt.of_int n v) tr) in
+            if reps.(image) < 0 then reps.(image) <- v)
+          transforms)
+    reps;
+  reps
+
+let oracle_sweep4 = lazy (oracle_sweep 4)
+
+(* [Npn.canonical f] must return [expected] and a transform mapping [f]
+   onto it. *)
+let check_canonical what f expected =
+  let rep, tr = Npn.canonical f in
+  if not (Tt.equal rep expected) then
+    Alcotest.failf "%s: canonical %a is %a, the oracle says %a" what Tt.pp f
+      Tt.pp rep Tt.pp expected;
+  if not (Tt.equal (Npn.apply f tr) rep) then
+    Alcotest.failf "%s: the transform of %a does not reach %a" what Tt.pp f
+      Tt.pp rep
+
 let test_npn_canonical_invariance () =
   let rng = Prng.create 3 in
   for _ = 1 to 30 do
     let f = random_tt rng 4 in
     let canon, _ = Npn.canonical f in
     (* applying a random transform first must not change the canon *)
-    let perm = Array.init 4 (fun i -> i) in
-    Prng.shuffle rng perm;
-    let tr =
-      { Npn.perm; input_neg = Prng.int rng 16; output_neg = Prng.bool rng }
-    in
-    let canon2, _ = Npn.canonical (Npn.apply f tr) in
+    let canon2, _ = Npn.canonical (Npn.apply f (random_transform rng 4)) in
     Alcotest.(check bool) "class invariant" true (Tt.equal canon canon2)
   done
 
@@ -175,23 +225,75 @@ let test_npn_inverse_roundtrip () =
   for _ = 1 to 50 do
     let n = 2 + Prng.int rng 3 in
     let f = random_tt rng n in
-    let perm = Array.init n (fun i -> i) in
-    Prng.shuffle rng perm;
-    let tr =
-      { Npn.perm; input_neg = Prng.int rng (1 lsl n); output_neg = Prng.bool rng }
-    in
+    let tr = random_transform rng n in
     Alcotest.(check bool) "roundtrip" true
       (Tt.equal f (Npn.apply (Npn.apply f tr) (Npn.inverse tr)))
   done
 
 let test_npn_canon4_table () =
-  let rng = Prng.create 5 in
-  for _ = 1 to 20 do
-    let f = random_tt rng 4 in
-    let expected, _ = Npn.canonical f in
-    Alcotest.(check int) "table matches exhaustive" (Tt.to_int expected)
-      (Npn.canon4 (Tt.to_int f))
+  let reps = Lazy.force oracle_sweep4 in
+  Array.iteri
+    (fun v r ->
+      if Npn.canon4 v <> r then
+        Alcotest.failf "canon4 %04x is %04x, the oracle says %04x" v
+          (Npn.canon4 v) r)
+    reps
+
+(* Every function of n <= 4 inputs is [apply rep tr] for its class
+   representative [rep] and some transform [tr]: checking every such
+   pair covers them all, without a brute-force call per function. *)
+let test_npn_exhaustive_small () =
+  for n = 0 to 4 do
+    let reps = if n = 4 then Lazy.force oracle_sweep4 else oracle_sweep n in
+    let classes =
+      List.filter (fun v -> reps.(v) = v) (List.init (Array.length reps) Fun.id)
+    in
+    Alcotest.(check (list int))
+      (Printf.sprintf "classes %d = the oracle's" n)
+      classes
+      (List.map Tt.to_int (Npn.classes n));
+    let transforms = oracle_transforms n in
+    List.iter
+      (fun v ->
+        let rep = Tt.of_int n v in
+        List.iter
+          (fun tr ->
+            check_canonical (Printf.sprintf "n=%d" n) (Npn.apply rep tr) rep)
+          transforms)
+      classes
   done
+
+let with_sign_bit f = Tt.set f 63 true
+
+let test_npn_oracle_agreement () =
+  let rng = Prng.create 6 in
+  for i = 1 to 200 do
+    let f = random_tt rng 5 in
+    check_canonical (Printf.sprintf "5-input #%d" i) f (oracle_canonical f)
+  done;
+  for i = 1 to 10 do
+    let f = random_tt rng 6 in
+    let f = if i mod 2 = 0 then with_sign_bit f else f in
+    check_canonical (Printf.sprintf "6-input #%d" i) f (oracle_canonical f)
+  done
+
+(* Orbit invariance without the oracle: a random member of the class
+   must reach the same representative, by a transform of its own. *)
+let test_npn_orbit_invariance () =
+  let rng = Prng.create 7 in
+  List.iter
+    (fun (n, count) ->
+      for i = 1 to count do
+        let f = random_tt rng n in
+        let f = if n = 6 && i mod 2 = 0 then with_sign_bit f else f in
+        let rep, tr = Npn.canonical f in
+        if not (Tt.equal (Npn.apply f tr) rep) then
+          Alcotest.failf "the transform of %a does not reach %a" Tt.pp f Tt.pp
+            rep;
+        check_canonical (Printf.sprintf "%d-input #%d" n i)
+          (Npn.apply f (random_transform rng n)) rep
+      done)
+    [ (5, 6000); (6, 4000) ]
 
 let test_dsd_kinds () =
   let maj = Tt.of_hex ~n:3 "e8" in
@@ -328,6 +430,12 @@ let () =
             test_npn_canonical_invariance;
           Alcotest.test_case "inverse roundtrip" `Quick test_npn_inverse_roundtrip;
           Alcotest.test_case "canon4 table" `Slow test_npn_canon4_table;
+          Alcotest.test_case "exhaustive at n <= 4 vs the oracle" `Slow
+            test_npn_exhaustive_small;
+          Alcotest.test_case "oracle agreement at n = 5, 6" `Slow
+            test_npn_oracle_agreement;
+          Alcotest.test_case "orbit invariance at n = 5, 6" `Slow
+            test_npn_orbit_invariance;
           QCheck_alcotest.to_alcotest qcheck_npn_apply_preserves_class_size ] );
       ( "pla",
         [ Alcotest.test_case "basic" `Quick test_pla_parse_basic;
