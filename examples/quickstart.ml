@@ -11,13 +11,15 @@ let () =
   Format.printf "target: %a  (binary %s)@.@." Tt.pp f (Tt.to_bin f);
 
   (* One call returns ALL optimum chains, not just one. *)
-  let result = Stp_synth.Stp_exact.synthesize f in
-  (match result.Stp_synth.Spec.status with
-   | Stp_synth.Spec.Timeout -> Format.printf "unexpected timeout@."
-   | Stp_synth.Spec.Solved ->
-     let gates = Option.get result.Stp_synth.Spec.gates in
-     let chains = result.Stp_synth.Spec.chains in
-     Format.printf "optimum size: %d gates; %d optimal chains:@.@." gates
+  let result =
+    Stp_synth.Stp_exact.synthesize ~deadline:Stp_util.Deadline.never f
+  in
+  (match result with
+   | Stp_synth.Engine.Timeout | Stp_synth.Engine.Infeasible ->
+     Format.printf "unexpected: no optimum@."
+   | Stp_synth.Engine.Solved chains ->
+     Format.printf "optimum size: %d gates; %d optimal chains:@.@."
+       (Option.get (Stp_synth.Engine.gates result))
        (List.length chains);
      List.iteri
        (fun i c ->

@@ -71,10 +71,12 @@ val run_collection :
   engine ->
   Stp_tt.Tt.t list ->
   aggregate
-(** [run_collection engine fns] runs every function under the timeout
-    (default 5 s) and aggregates. [on_instance] observes each result
-    (index, function, result) in input order — used for cross-checking
-    optima between engines and for verbose traces.
+(** [run_collection engine fns] runs every function under a fresh
+    deadline of [timeout] seconds (default 5 s) and aggregates.
+    [on_instance] observes each result (index, function, result) in
+    input order — used for cross-checking optima between engines and
+    for verbose traces. The row is Table I's two-state one: an
+    [Infeasible] answer reads as {!Stp_synth.Spec.Timeout}.
 
     [jobs] (default 1, clamped to at least 1) fans instances out across
     that many domains via {!Stp_parallel.Pool}; each domain owns a

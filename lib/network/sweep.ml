@@ -177,7 +177,7 @@ let encode_var enc ntk v0 =
       end
   done
 
-type proof_outcome = Proved | Refuted of bool array | Skipped
+type pair_proof = Proved | Refuted of bool array | Skipped
 
 (* One candidate pair: member [y] against representative [x], claiming
    [val y = val x xor c]. Two assumption-only solves look for the two

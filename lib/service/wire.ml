@@ -159,9 +159,10 @@ let listen addr =
   Unix.listen sock 64;
   sock
 
-(* Bounded connect retry on the two "server not up yet" errors —
-   mirrors {!Stp_store.Daemon.client}'s discipline for the service's
-   TCP and Unix clients. *)
+(* Bounded connect retry on the two "server not up yet" errors, for
+   every TCP and Unix client of the service and of the daemon's socket
+   server: a freshly forked server binds a beat after its parent can
+   first try to connect. *)
 let connect ?(attempts = 25) addr =
   let sa = sockaddr_of addr in
   let domain = Unix.domain_of_sockaddr sa in

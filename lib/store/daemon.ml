@@ -478,46 +478,3 @@ let serve ?(input = Unix.stdin) ?(output = Unix.stdout) config =
               end
             in
             accept_loop ()))
-
-(* Bounded connect retry: a freshly forked daemon binds its socket a
-   beat after the parent can first try to connect, so clients back off
-   on the two "not there yet" errors instead of racing startup. Every
-   attempt gets a fresh fd — after EINTR the interrupted connect can
-   keep completing in-kernel, and reusing the socket then raises
-   EALREADY/EISCONN spuriously. The budget is ~3 s worst case, then
-   the last error propagates. *)
-let rec connect_retry addr attempts delay =
-  let sock = Unix.socket Unix.PF_UNIX Unix.SOCK_STREAM 0 in
-  match Unix.connect sock addr with
-  | () -> sock
-  | exception e ->
-    (try Unix.close sock with Unix.Unix_error _ -> ());
-    (match e with
-     | Unix.Unix_error ((Unix.ECONNREFUSED | Unix.ENOENT), _, _)
-       when attempts > 1 ->
-       Unix.sleepf delay;
-       connect_retry addr (attempts - 1) (Float.min 0.25 (delay *. 2.))
-     | Unix.Unix_error (Unix.EINTR, _, _) when attempts > 1 ->
-       connect_retry addr (attempts - 1) delay
-     | e -> raise e)
-
-let client ?(attempts = 25) ~socket lines =
-  let sock = connect_retry (Unix.ADDR_UNIX socket) (max 1 attempts) 0.01 in
-  Fun.protect
-    ~finally:(fun () -> try Unix.close sock with Unix.Unix_error _ -> ())
-    (fun () ->
-      write_all sock (String.concat "\n" lines ^ "\n");
-      Unix.shutdown sock Unix.SHUTDOWN_SEND;
-      let buf = Buffer.create 4096 in
-      let chunk = Bytes.create 4096 in
-      let rec drain () =
-        match Unix.read sock chunk 0 (Bytes.length chunk) with
-        | 0 -> ()
-        | n ->
-          Buffer.add_subbytes buf chunk 0 n;
-          drain ()
-        | exception Unix.Unix_error (Unix.EINTR, _, _) -> drain ()
-      in
-      drain ();
-      Buffer.contents buf |> String.split_on_char '\n'
-      |> List.filter (fun l -> String.trim l <> ""))

@@ -125,12 +125,3 @@ val request :
 val control : ?id:int -> string -> string
 (** [control ty] formats a control request line, e.g.
     [control "ping"] or [control "stats"]. *)
-
-val client : ?attempts:int -> socket:string -> string list -> string list
-(** [client ~socket lines] connects to a serving daemon, sends the
-    request lines, shuts down the writing side, and returns the
-    response lines — the CI smoke test's transport. The connect is
-    retried with exponential backoff (up to [attempts] tries, default
-    25, ~3 s worst case) on [ECONNREFUSED]/[ENOENT], so callers forked
-    moments after the daemon need not poll for the socket to appear.
-    @raise Unix.Unix_error when the daemon never starts listening. *)

@@ -1,6 +1,8 @@
 module Tt = Stp_tt.Tt
 module Chain = Stp_chain.Chain
 
+type 'a outcome = Solved of 'a | Timeout | Infeasible
+
 let prepare f =
   match Tt.support f with
   | [] -> invalid_arg "synthesis: constant target has no Boolean chain"

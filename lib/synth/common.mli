@@ -1,5 +1,17 @@
-(** Shared plumbing for all synthesis engines: support reduction and
-    trivial-target handling. *)
+(** Shared plumbing for all synthesis engines: the one answer type,
+    support reduction and trivial-target handling. *)
+
+type 'a outcome =
+  | Solved of 'a
+      (** the optimum: all optimum chains for the STP engine, one for
+          the CNF baselines, one multi-output chain for {!Multi} *)
+  | Timeout  (** the deadline expired before an answer *)
+  | Infeasible
+      (** no chain exists within the options: a constant target, or
+          every gate count up to [max_gates] refuted *)
+(** How every synthesis entry point ends a search. Each one takes an
+    explicit {!Stp_util.Deadline.t} and answers this type;
+    {!Engine.result} re-exports it for single-output chains. *)
 
 val prepare :
   Stp_tt.Tt.t ->

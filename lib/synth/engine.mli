@@ -3,20 +3,22 @@
     Every exact engine in the repo — the paper's STP AllSAT engine and
     the three CNF baselines — is exposed behind one module type:
     a [synthesize] function from a {!spec} (target, options, optional
-    factor memo) and an explicit deadline to one shared three-way
-    {!result}. The harness ({!Stp_harness.Runner}), the NPN cache
-    ({!Npn_cache}) and the netlist rewriter consume engines only
-    through this signature, so adding an engine is implementing [S]
-    once.
+    factor memo) and an explicit deadline to one three-way {!result}.
+    The harness ({!Stp_harness.Runner}), the NPN cache ({!Npn_cache})
+    and the netlist rewriter consume engines only through this
+    signature, so adding an engine is implementing [S] once.
 
-    Deadlines are explicit rather than read from
-    [options.timeout]: a service handing out per-request budgets (the
-    synthesis daemon) and a collection runner sharing one wall-clock
-    policy both construct the deadline themselves. *)
+    {!result} is {!Common.outcome} over chain lists, constructors
+    included: the direct entry points ({!Stp_exact.synthesize},
+    {!Baselines.bms}, {!Baselines.fen}, {!Baselines.abc},
+    {!Npn_cache.synthesize}) answer the same type, and {!Multi} answers
+    it over multi-output chains. No option carries a time limit: every
+    caller — a service handing out per-request budgets, a collection
+    runner, the CLI — builds the deadline itself. *)
 
 type spec = {
   target : Stp_tt.Tt.t;
-  options : Spec.options;  (** [options.timeout] is ignored; pass a deadline *)
+  options : Spec.options;
   memo : Factor.memo option;
       (** reusable factorisation memo; engines that cannot use one
           ignore it *)
@@ -25,15 +27,17 @@ type spec = {
 val spec : ?options:Spec.options -> ?memo:Factor.memo -> Stp_tt.Tt.t -> spec
 (** [spec f] with {!Spec.default_options} and no memo. *)
 
-type result =
-  | Solved of Stp_chain.Chain.t list
-      (** all optimum chains found (non-empty; every chain has the same
-          optimum size, readable as {!gates}) *)
+type 'a outcome = 'a Common.outcome =
+  | Solved of 'a
+      (** for {!result}: all optimum chains found (non-empty; every
+          chain has the same optimum size, readable as {!gates}) *)
   | Timeout  (** the deadline expired before an answer *)
   | Infeasible
       (** no chain exists within the spec's constraints: a constant
           target, or every gate count up to [options.max_gates]
           refuted *)
+
+type result = Stp_chain.Chain.t list outcome
 
 module type S = sig
   val name : string
@@ -65,7 +69,7 @@ val gates : result -> int option
 (** The optimum gate count of a [Solved] result (the size of its
     chains); [None] otherwise. *)
 
-val outcome_label : result -> string
+val outcome_label : _ outcome -> string
 (** ["solved"], ["timeout"] or ["infeasible"] — the histogram and
     response-status vocabulary shared by the harness and the daemon. *)
 
@@ -77,8 +81,3 @@ val observed : (module S) -> (module S)
     recorded into the registered histograms [engine/<name>] and
     [engine/<name>/<outcome>]. Free when tracing and metrics are both
     off (two [ref] reads per call). *)
-
-val to_spec_result : elapsed:float -> result -> Spec.result
-(** Bridge to the record shape of the pre-[Engine] API: [Solved]
-    becomes {!Spec.solved}; [Timeout] {e and} [Infeasible] become
-    {!Spec.timed_out}, matching the engines' historical reporting. *)

@@ -867,28 +867,21 @@ let decompose_uncached ?memo ?g_fixed ?h_fixed ~allowed ~path ~cap ~target
         let trail = Stp_util.Vec.create ~dummy:(true, 0) () in
         (* Pre-assigned sides (shared DAG children whose function is
            already bound) seed the block values before the search. *)
-        let seed arr sel fixed =
+        let seed arr vars fixed =
           match fixed with
           | None -> ()
           | Some f ->
-            Array.iteri
-              (fun idx _ ->
-                (* idx enumerates the side's classes; rebuild the minterm *)
-                ignore idx)
-              arr;
+            (* class [ci] of a side is the minterm over its variables *)
             for ci = 0 to Array.length arr - 1 do
               let m = ref 0 in
               Array.iteri
-                (fun j p ->
-                  ignore p;
-                  if (ci lsr j) land 1 = 1 then
-                    m := !m lor (1 lsl (if sel == asel then avars.(j) else bvars.(j))))
-                sel;
+                (fun j v -> if (ci lsr j) land 1 = 1 then m := !m lor (1 lsl v))
+                vars;
               arr.(ci) <- (if Tt.get f !m then 1 else 0)
             done
         in
-        seed ga asel g_fixed;
-        seed hb bsel h_fixed;
+        seed ga avars g_fixed;
+        seed hb bvars h_fixed;
         let rec set_a alpha v =
           if ga.(alpha) = -1 then begin
             ga.(alpha) <- v;

@@ -3,99 +3,90 @@ module Chain = Stp_chain.Chain
 module Mchain = Stp_chain.Mchain
 module Solver = Stp_sat.Solver
 
-type result = {
-  status : Spec.status;
-  mchain : Stp_chain.Mchain.t option;
-  gates : int option;
-  elapsed : float;
-}
-
 let check_outputs fs =
   if Array.length fs = 0 then invalid_arg "Multi: no outputs";
   let n = Tt.num_vars fs.(0) in
   Array.iter
-    (fun f ->
-      if Tt.num_vars f <> n then invalid_arg "Multi: mixed arities";
-      if Tt.is_const f then
-        invalid_arg "Multi: constant outputs have no Boolean chain")
+    (fun f -> if Tt.num_vars f <> n then invalid_arg "Multi: mixed arities")
     fs;
   n
 
-let exact ?(incremental = true) ?(options = Spec.default_options) fs =
-  let n = check_outputs fs in
-  ignore n;
-  let start = Stp_util.Unix_time.now () in
-  let deadline = Spec.deadline_of options in
-  let elapsed () = Stp_util.Unix_time.now () -. start in
-  let timeout () =
-    { status = Spec.Timeout; mchain = None; gates = None; elapsed = elapsed () }
-  in
-  let solved mc r =
-    let sims = Mchain.simulate mc in
-    Array.iteri (fun k f -> assert (Tt.equal sims.(k) f)) fs;
-    { status = Spec.Solved; mchain = Some mc; gates = Some r;
-      elapsed = elapsed () }
-  in
-  let lower =
-    Array.fold_left (fun acc f -> max acc (Tt.support_size f - 1)) 1 fs
-  in
-  (* One budget per step: incremental keeps a single solver whose gate
-     pool only grows; each budget's closing constraints ride on a
-     selector retired once the budget is refuted. *)
-  let step =
-    if incremental then begin
-      let solver = Solver.create () in
-      let enc =
-        Stp_encodings.Ssv_multi.Inc.create ?basis:options.Spec.basis ~solver
-          ~fs ()
-      in
-      fun r ->
-        match Stp_encodings.Ssv_multi.Inc.budget_selector enc r with
-        | None -> `Unsat
-        | Some sel -> (
-          match Solver.solve ~assumptions:[ sel ] ~deadline solver with
-          | Solver.Unsat ->
-            Stp_encodings.Ssv_multi.Inc.retire enc r;
-            `Unsat
-          | Solver.Unknown -> `Unknown
-          | Solver.Sat -> `Sat (Stp_encodings.Ssv_multi.Inc.decode enc ~r))
-    end
-    else
-      fun r ->
+let verified fs mc =
+  let sims = Mchain.simulate mc in
+  Array.iteri (fun k f -> assert (Tt.equal sims.(k) f)) fs;
+  Common.Solved mc
+
+let exact ?(incremental = true) ?(options = Spec.default_options) ~deadline fs =
+  ignore (check_outputs fs);
+  (* A constant output has no chain signal to drive it. *)
+  if Array.exists Tt.is_const fs then Common.Infeasible
+  else begin
+    let lower =
+      Array.fold_left (fun acc f -> max acc (Tt.support_size f - 1)) 1 fs
+    in
+    (* One budget per step: incremental keeps a single solver whose gate
+       pool only grows; each budget's closing constraints ride on a
+       selector retired once the budget is refuted. *)
+    let step =
+      if incremental then begin
         let solver = Solver.create () in
-        match
-          Stp_encodings.Ssv_multi.build ?basis:options.Spec.basis ~solver ~fs
-            ~r ()
-        with
-        | None -> `Unsat
-        | Some enc -> (
-          match Solver.solve ~deadline solver with
-          | Solver.Unsat -> `Unsat
-          | Solver.Unknown -> `Unknown
-          | Solver.Sat -> `Sat (Stp_encodings.Ssv_multi.decode enc))
-  in
-  let rec loop r =
-    if r > options.Spec.max_gates then timeout ()
-    else
-      match step r with
-      | `Unsat -> loop (r + 1)
-      | `Unknown -> timeout ()
-      | `Sat mc -> solved mc r
-  in
-  loop lower
+        let enc =
+          Stp_encodings.Ssv_multi.Inc.create ?basis:options.Spec.basis ~solver
+            ~fs ()
+        in
+        fun r ->
+          match Stp_encodings.Ssv_multi.Inc.budget_selector enc r with
+          | None -> `Unsat
+          | Some sel -> (
+            match Solver.solve ~assumptions:[ sel ] ~deadline solver with
+            | Solver.Unsat ->
+              Stp_encodings.Ssv_multi.Inc.retire enc r;
+              `Unsat
+            | Solver.Unknown -> `Unknown
+            | Solver.Sat -> `Sat (Stp_encodings.Ssv_multi.Inc.decode enc ~r))
+      end
+      else
+        fun r ->
+          let solver = Solver.create () in
+          match
+            Stp_encodings.Ssv_multi.build ?basis:options.Spec.basis ~solver ~fs
+              ~r ()
+          with
+          | None -> `Unsat
+          | Some enc -> (
+            match Solver.solve ~deadline solver with
+            | Solver.Unsat -> `Unsat
+            | Solver.Unknown -> `Unknown
+            | Solver.Sat -> `Sat (Stp_encodings.Ssv_multi.decode enc))
+    in
+    let rec loop r =
+      if r > options.Spec.max_gates then Common.Infeasible
+      else
+        match step r with
+        | `Unsat -> loop (r + 1)
+        | `Unknown -> Common.Timeout
+        | `Sat mc -> verified fs mc
+    in
+    loop lower
+  end
 
 (* Greedy structural merging of per-output optimum chains. *)
-let stp_shared ?(options = Spec.default_options) fs =
+let stp_shared ?(options = Spec.default_options) ~deadline fs =
   let n = check_outputs fs in
-  let start = Stp_util.Unix_time.now () in
-  let elapsed () = Stp_util.Unix_time.now () -. start in
-  let per_output =
-    Array.map (fun f -> Stp_exact.synthesize ~options f) fs
-  in
-  if Array.exists (fun (r : Spec.result) -> r.Spec.status <> Spec.Solved)
-       per_output
-  then { status = Spec.Timeout; mchain = None; gates = None; elapsed = elapsed () }
-  else begin
+  (* Every output searches under the one deadline; the first output
+     that does not solve decides the answer. *)
+  let exception Unsolved of Mchain.t Common.outcome in
+  match
+    Array.map
+      (fun f ->
+        match Stp_exact.synthesize ~options ~deadline f with
+        | Common.Solved chains -> chains
+        | Common.Timeout -> raise (Unsolved Common.Timeout)
+        | Common.Infeasible -> raise (Unsolved Common.Infeasible))
+      fs
+  with
+  | exception Unsolved o -> o
+  | per_output ->
     (* Pool of merged steps: (f1, f2, gate) -> pool signal. *)
     let table : (int * int * int, int) Hashtbl.t = Hashtbl.create 97 in
     let pool : Chain.step list ref = ref [] in
@@ -142,7 +133,7 @@ let stp_shared ?(options = Spec.default_options) fs =
     let outputs =
       Array.to_list
         (Array.map
-           (fun (r : Spec.result) ->
+           (fun chains ->
              (* Pick the candidate that adds the fewest fresh gates. *)
              let best =
                List.fold_left
@@ -151,7 +142,7 @@ let stp_shared ?(options = Spec.default_options) fs =
                    match acc with
                    | Some (_, best_added) when best_added <= added -> acc
                    | _ -> Some (c, added))
-                 None r.Spec.chains
+                 None chains
              in
              match best with
              | None -> assert false
@@ -160,9 +151,4 @@ let stp_shared ?(options = Spec.default_options) fs =
                out)
            per_output)
     in
-    let mc = Mchain.make ~n ~steps:(List.rev !pool) ~outputs in
-    let sims = Mchain.simulate mc in
-    Array.iteri (fun k f -> assert (Tt.equal sims.(k) f)) fs;
-    { status = Spec.Solved; mchain = Some mc; gates = Some !pool_size;
-      elapsed = elapsed () }
-  end
+    verified fs (Mchain.make ~n ~steps:(List.rev !pool) ~outputs)

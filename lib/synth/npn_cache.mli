@@ -90,9 +90,14 @@ val wrap : t -> (module Engine.S) -> (module Engine.S)
     optimum chains they return. *)
 
 val synthesize :
-  ?options:Spec.options -> ?memo:Factor.memo -> t -> Stp_tt.Tt.t -> Spec.result
-(** [wrap] applied to {!Engine.stp}, with the deadline taken from
-    [options.timeout] — the pre-[Engine] convenience entry point. *)
+  ?options:Spec.options ->
+  ?memo:Factor.memo ->
+  ?deadline:Stp_util.Deadline.t ->
+  t ->
+  Stp_tt.Tt.t ->
+  Engine.result
+(** [wrap] applied to {!Engine.stp}, under [deadline] (default
+    {!Stp_util.Deadline.never}). *)
 
 type stats = {
   hits : int;      (** lookups answered by replaying a cached class *)

@@ -1,8 +1,16 @@
-(** Common types for the exact-synthesis engines. *)
+(** The search options every exact-synthesis engine reads, and the
+    per-instance row of a Table I run.
+
+    Options say {e what} to search for; they carry no time limit. Every
+    entry point takes its budget as an explicit
+    [~deadline:]{!Stp_util.Deadline.t} and answers
+    {!Common.outcome} ({!Engine.result} for single-output chains). *)
 
 type status =
   | Solved
-  | Timeout  (** the per-instance deadline expired before an answer *)
+  | Timeout
+      (** the per-instance deadline expired, or the engine answered
+          [Infeasible]: Table I counts both as unsolved *)
 
 type result = {
   status : status;
@@ -12,10 +20,14 @@ type result = {
   gates : int option; (** optimum gate count when solved *)
   elapsed : float;    (** wall-clock seconds *)
 }
+(** One instance of a collection run, as
+    {!Stp_harness.Runner.run_collection} reports it to its
+    [on_instance] observer. *)
 
 type options = {
-  timeout : float option; (** per-instance wall-clock budget, seconds *)
-  max_gates : int;        (** give up beyond this size (safety net) *)
+  max_gates : int;
+    (** the largest gate count searched; when every count up to it is
+        refuted the answer is [Infeasible] *)
   solution_cap : int;     (** cap on the number of chains collected *)
   all_shapes : bool;
     (** [false] (paper semantics): return all optimum chains of the
@@ -46,12 +58,8 @@ type options = {
 }
 
 val default_options : options
-(** No timeout, [max_gates = 14], [solution_cap = 2000],
-    [all_shapes = false]. *)
-
-val with_timeout : float -> options
-
-val deadline_of : options -> Stp_util.Deadline.t
+(** [max_gates = 14], [solution_cap = 2000], [all_shapes = false],
+    [use_dsd = true], the full basis, no depth bound. *)
 
 val solved : chains:Stp_chain.Chain.t list -> gates:int -> elapsed:float -> result
 

@@ -174,34 +174,18 @@ let synthesize_reduced ~options ~deadline ~memo target =
   let cache = Hashtbl.create 97 in
   synth ~options ~deadline ~memo ~stats ~cache target
 
-let synthesize_outcome ?(options = Spec.default_options) ?memo ~deadline f =
-  if Tt.is_const f then `Infeasible
+let synthesize ?(options = Spec.default_options) ?memo ~deadline f =
+  if Tt.is_const f then Common.Infeasible
   else
     match Common.prepare f with
-    | `Trivial chain -> `Solved ([ chain ], 0)
+    | `Trivial chain -> Common.Solved [ chain ]
     | `Reduced (target, support) -> (
       let n = Tt.num_vars f in
       match synthesize_reduced ~options ~deadline ~memo target with
-      | Some (gates, chains) ->
-        `Solved (List.map (Common.expand_chain ~n ~support) chains, gates)
+      | Some (_gates, chains) ->
+        Common.Solved (List.map (Common.expand_chain ~n ~support) chains)
       | None ->
         (* [try_size] only returns [None] when the gate budget is
            exhausted with every size refuted — deadline expiry raises. *)
-        `Infeasible
-      | exception Stp_util.Deadline.Timeout -> `Timeout)
-
-let synthesize ?(options = Spec.default_options) ?memo f =
-  let start = Stp_util.Unix_time.now () in
-  let deadline = Spec.deadline_of options in
-  let elapsed () = Stp_util.Unix_time.now () -. start in
-  match Common.prepare f with
-  | `Trivial chain ->
-    Spec.solved ~chains:[ chain ] ~gates:0 ~elapsed:(elapsed ())
-  | `Reduced (target, support) -> (
-    let n = Tt.num_vars f in
-    match synthesize_reduced ~options ~deadline ~memo target with
-    | Some (gates, chains) ->
-      let chains = List.map (Common.expand_chain ~n ~support) chains in
-      Spec.solved ~chains ~gates ~elapsed:(elapsed ())
-    | None -> Spec.timed_out ~elapsed:(elapsed ())
-    | exception Stp_util.Deadline.Timeout -> Spec.timed_out ~elapsed:(elapsed ()))
+        Common.Infeasible
+      | exception Stp_util.Deadline.Timeout -> Common.Timeout)

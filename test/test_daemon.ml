@@ -8,6 +8,7 @@ module Tt = Stp_tt.Tt
 module Report = Stp_harness.Report
 module Store = Stp_store.Store
 module Daemon = Stp_store.Daemon
+module Wire = Stp_service.Wire
 
 let get_string key json =
   match Report.member key json with
@@ -182,12 +183,21 @@ let test_daemon_socket_round_trip () =
      with _ -> ());
     Unix._exit 0
   | pid ->
-    (* No polling for the socket to appear: [Daemon.client] retries the
+    (* No polling for the socket to appear: [Wire.connect] retries the
        connect with backoff until the daemon binds. *)
-    let responses =
-      Daemon.client ~socket:sock_path
-        [ Daemon.request ~id:1 ~n:3 "96"; Daemon.request ~id:2 ~n:3 "e8" ]
+    let fd = Wire.connect (Wire.Unix_path sock_path) in
+    Wire.send_lines fd
+      [ Daemon.request ~id:1 ~n:3 "96"; Daemon.request ~id:2 ~n:3 "e8" ];
+    Unix.shutdown fd Unix.SHUTDOWN_SEND;
+    let r = Wire.line_reader fd in
+    let rec drain acc =
+      match Wire.next_line r with
+      | Some l when String.trim l = "" -> drain acc
+      | Some l -> drain (l :: acc)
+      | None -> List.rev acc
     in
+    let responses = drain [] in
+    Unix.close fd;
     Alcotest.(check int) "two responses" 2 (List.length responses);
     List.iter
       (fun line ->

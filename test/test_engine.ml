@@ -1,20 +1,40 @@
 (* Tests for the unified Engine API: the four engines behind one
-   signature must agree on optima, report the three-way outcome
-   (Solved / Timeout / Infeasible) consistently, and the daemon's
-   graceful-degradation upper bound must be a correct chain. *)
+   signature must agree on optima; they and every direct entry point
+   (Stp_exact, the baselines, the NPN cache) must report the three-way
+   outcome (Solved / Timeout / Infeasible) consistently; and the
+   daemon's graceful-degradation upper bound must be a correct chain. *)
 
 module Tt = Stp_tt.Tt
 module Chain = Stp_chain.Chain
 module Spec = Stp_synth.Spec
 module Engine = Stp_synth.Engine
+module Stp_exact = Stp_synth.Stp_exact
 module Baselines = Stp_synth.Baselines
+module Npn_cache = Stp_synth.Npn_cache
 module Deadline = Stp_util.Deadline
 module Prng = Stp_util.Prng
 
-let options = Spec.with_timeout 60.0
+let options = Spec.default_options
 
 let synth (module E : Engine.S) ?(options = options) f =
-  E.synthesize (Engine.spec ~options f) ~deadline:(Spec.deadline_of options)
+  E.synthesize (Engine.spec ~options f) ~deadline:(Deadline.after 60.0)
+
+(* Every single-output entry point under one call shape: the four
+   engines behind [Engine.S], then the direct functions. *)
+let entry_points :
+    (string * (Spec.options -> deadline:Deadline.t -> Tt.t -> Engine.result)) list =
+  List.map
+    (fun (module E : Engine.S) ->
+      (E.name, fun options ~deadline f -> E.synthesize (Engine.spec ~options f) ~deadline))
+    Engine.all
+  @ [ ("Stp_exact.synthesize",
+       fun options ~deadline f -> Stp_exact.synthesize ~options ~deadline f);
+      ("Baselines.bms", fun options ~deadline f -> Baselines.bms ~options ~deadline f);
+      ("Baselines.fen", fun options ~deadline f -> Baselines.fen ~options ~deadline f);
+      ("Baselines.abc", fun options ~deadline f -> Baselines.abc ~options ~deadline f);
+      ("Npn_cache.synthesize",
+       fun options ~deadline f ->
+         Npn_cache.synthesize ~options ~deadline (Npn_cache.create ()) f) ]
 
 let test_engines_agree_on_optima () =
   let targets =
@@ -52,31 +72,27 @@ let test_engines_agree_on_optima () =
 
 let test_constants_are_infeasible () =
   List.iter
-    (fun e ->
-      let name = Engine.name e in
+    (fun (name, synthesize) ->
       List.iter
         (fun f ->
-          match synth e f with
+          match synthesize options ~deadline:(Deadline.after 60.0) f with
           | Engine.Infeasible -> ()
           | Engine.Solved _ | Engine.Timeout ->
             Alcotest.failf "%s should report a constant as Infeasible" name)
         [ Tt.zero 3; Tt.one 4 ])
-    Engine.all
+    entry_points
 
 let test_expired_deadline_times_out () =
   (* [b4d2] needs real search; a deadline that expires on the first poll
      must surface as Timeout, not as a wrong answer. *)
   let f = Tt.of_hex ~n:4 "b4d2" in
   List.iter
-    (fun (module E : Engine.S) ->
-      match
-        E.synthesize (Engine.spec ~options f)
-          ~deadline:(Deadline.after ~poll_interval:1 0.0)
-      with
+    (fun (name, synthesize) ->
+      match synthesize options ~deadline:(Deadline.after ~poll_interval:1 0.0) f with
       | Engine.Timeout -> ()
-      | Engine.Solved _ -> Alcotest.failf "%s solved under a dead deadline" E.name
-      | Engine.Infeasible -> Alcotest.failf "%s reported infeasible" E.name)
-    Engine.all
+      | Engine.Solved _ -> Alcotest.failf "%s solved under a dead deadline" name
+      | Engine.Infeasible -> Alcotest.failf "%s reported infeasible" name)
+    entry_points
 
 let test_gate_budget_is_infeasible () =
   (* maj3 needs at least 3 gates (refutable instantly); a max_gates cap
@@ -84,13 +100,12 @@ let test_gate_budget_is_infeasible () =
   let f = Tt.of_hex ~n:3 "e8" in
   let options = { options with Spec.max_gates = 2 } in
   List.iter
-    (fun e ->
-      let name = Engine.name e in
-      match synth e ~options f with
+    (fun (name, synthesize) ->
+      match synthesize options ~deadline:(Deadline.after 60.0) f with
       | Engine.Infeasible -> ()
       | Engine.Solved _ -> Alcotest.failf "%s beat the known lower bound" name
       | Engine.Timeout -> Alcotest.failf "%s timed out instead" name)
-    Engine.all
+    entry_points
 
 let test_find_and_gates () =
   Alcotest.(check bool) "find stp" true (Engine.find "stp" <> None);

@@ -8,17 +8,27 @@ module Gate = Stp_chain.Gate
 module Spec = Stp_synth.Spec
 module Stp_exact = Stp_synth.Stp_exact
 module Baselines = Stp_synth.Baselines
+module Engine = Stp_synth.Engine
+module Deadline = Stp_util.Deadline
 module Prng = Stp_util.Prng
 
 let and_class = [ 1; 2; 4; 7; 8; 11; 13; 14 ]
 
-let options ?basis ?max_depth () =
-  { (Spec.with_timeout 30.0) with Spec.basis; max_depth }
+let options ?basis ?max_depth () = { Spec.default_options with Spec.basis; max_depth }
 
-let gates_of (r : Spec.result) = Option.get r.Spec.gates
+let deadline () = Deadline.after 30.0
 
-let check_solved name (r : Spec.result) =
-  if r.Spec.status <> Spec.Solved then Alcotest.failf "%s timed out" name
+let stp options f = Stp_exact.synthesize ~options ~deadline:(deadline ()) f
+let bms options f = Baselines.bms ~options ~deadline:(deadline ()) f
+let fen options f = Baselines.fen ~options ~deadline:(deadline ()) f
+
+let gates_of r = Option.get (Engine.gates r)
+
+let chains_of = function Engine.Solved chains -> chains | _ -> []
+
+let check_solved name = function
+  | Engine.Solved _ -> ()
+  | r -> Alcotest.failf "%s: %s" name (Engine.outcome_label r)
 
 let chain_uses_only basis (c : Chain.t) =
   Array.for_all (fun (s : Chain.step) -> List.mem s.gate basis) c.Chain.steps
@@ -29,7 +39,7 @@ let test_aig_xor3 () =
   (* XOR needs 3 AND-class gates instead of 1 XOR gate; xor3 needs 2 XOR
      gates or 6 AND-class gates *)
   let xor2 = Tt.of_hex ~n:2 "6" in
-  let r = Stp_exact.synthesize ~options:(options ~basis:and_class ()) xor2 in
+  let r = stp (options ~basis:and_class ()) xor2 in
   check_solved "xor2/aig" r;
   Alcotest.(check int) "xor2 needs 3 ANDs" 3 (gates_of r);
   List.iter
@@ -38,7 +48,7 @@ let test_aig_xor3 () =
         (chain_uses_only and_class c);
       Alcotest.(check bool) "simulates" true
         (Tt.equal (Chain.simulate c) xor2))
-    r.Spec.chains
+    (chains_of r)
 
 let test_aig_vs_unrestricted () =
   (* restricted optima are never smaller; hard XOR-like primes may
@@ -50,19 +60,19 @@ let test_aig_vs_unrestricted () =
     let f = Tt.of_fun 3 (fun _ -> Prng.bool rng) in
     if Tt.support_size f >= 2 then begin
       incr tried;
-      let free = Stp_exact.synthesize ~options:(options ()) f in
-      let aig = Stp_exact.synthesize ~options:(options ~basis:and_class ()) f in
+      let free = stp (options ()) f in
+      let aig = stp (options ~basis:and_class ()) f in
       check_solved "free" free;
-      match aig.Spec.status with
-      | Spec.Timeout -> ()
-      | Spec.Solved ->
+      match aig with
+      | Engine.Timeout | Engine.Infeasible -> ()
+      | Engine.Solved _ ->
         incr solved;
         Alcotest.(check bool) "aig >= free" true (gates_of aig >= gates_of free);
         List.iter
           (fun c ->
             Alcotest.(check bool) "basis respected" true
               (chain_uses_only and_class c))
-          aig.Spec.chains
+          (chains_of aig)
     end
   done;
   Alcotest.(check bool) "most solved" true (2 * !solved >= !tried)
@@ -72,8 +82,8 @@ let test_basis_agreement_with_bms () =
   for _ = 1 to 6 do
     let f = Tt.of_fun 3 (fun _ -> Prng.bool rng) in
     if Tt.support_size f >= 2 then begin
-      let stp = Stp_exact.synthesize ~options:(options ~basis:and_class ()) f in
-      let bms = Baselines.bms ~options:(options ~basis:and_class ()) f in
+      let stp = stp (options ~basis:and_class ()) f in
+      let bms = bms (options ~basis:and_class ()) f in
       check_solved "stp/aig" stp;
       check_solved "bms/aig" bms;
       Alcotest.(check int) "same aig optimum" (gates_of bms) (gates_of stp);
@@ -82,24 +92,21 @@ let test_basis_agreement_with_bms () =
           Alcotest.(check bool) "bms basis" true
             (chain_uses_only [ 2; 4; 8; 14 ] c
              (* SSV decodes normal gates only: the normal AND-class *)))
-        bms.Spec.chains
+        (chains_of bms)
     end
   done
 
 let test_xor_basis () =
   (* parity functions in an {XOR,XNOR}-only basis *)
   let xor4 = Tt.of_hex ~n:4 "6996" in
-  let r = Stp_exact.synthesize ~options:(options ~basis:[ 6; 9 ] ()) xor4 in
+  let r = stp (options ~basis:[ 6; 9 ] ()) xor4 in
   check_solved "xor4/xor-basis" r;
   Alcotest.(check int) "3 gates" 3 (gates_of r);
-  (* AND is impossible in the XOR basis: the engine must give up *)
+  (* AND is impossible in the XOR basis: every size up to the cap is
+     refuted, so the engine answers Infeasible *)
   let and2 = Tt.of_hex ~n:2 "8" in
-  let r =
-    Stp_exact.synthesize
-      ~options:{ (options ~basis:[ 6; 9 ] ()) with Spec.max_gates = 5 }
-      and2
-  in
-  Alcotest.(check bool) "and2 unsynthesisable" true (r.Spec.status = Spec.Timeout)
+  let r = stp { (options ~basis:[ 6; 9 ] ()) with Spec.max_gates = 5 } and2 in
+  Alcotest.(check bool) "and2 unsynthesisable" true (r = Engine.Infeasible)
 
 (* --- depth bounds --- *)
 
@@ -107,36 +114,32 @@ let test_depth_bound_xor3 () =
   (* xor3 as a 2-gate chain has depth 2; with max_depth 1 no 2-gate or
      any chain fits (a depth-1 chain is a single gate) *)
   let xor3 = Tt.of_hex ~n:3 "96" in
-  let r = Stp_exact.synthesize ~options:(options ~max_depth:2 ()) xor3 in
+  let r = stp (options ~max_depth:2 ()) xor3 in
   check_solved "depth 2" r;
   Alcotest.(check int) "2 gates" 2 (gates_of r);
   List.iter
     (fun c -> Alcotest.(check bool) "depth <= 2" true (Chain.depth c <= 2))
-    r.Spec.chains;
-  let r1 =
-    Stp_exact.synthesize
-      ~options:{ (options ~max_depth:1 ()) with Spec.max_gates = 4 }
-      xor3
-  in
-  Alcotest.(check bool) "depth 1 impossible" true (r1.Spec.status = Spec.Timeout)
+    (chains_of r);
+  let r1 = stp { (options ~max_depth:1 ()) with Spec.max_gates = 4 } xor3 in
+  Alcotest.(check bool) "depth 1 impossible" true (r1 = Engine.Infeasible)
 
 let test_depth_forces_size () =
   (* AND8 = 7 gates; a balanced tree has depth 3, a chain depth 7. With
      max_depth 3 the optimum stays 7 but all solutions are balanced. *)
   let and4 = Tt.of_hex ~n:4 "8000" in
-  let r = Stp_exact.synthesize ~options:(options ~max_depth:2 ()) and4 in
+  let r = stp (options ~max_depth:2 ()) and4 in
   check_solved "and4 depth 2" r;
   Alcotest.(check int) "3 gates" 3 (gates_of r);
   List.iter
     (fun c -> Alcotest.(check bool) "balanced" true (Chain.depth c = 2))
-    r.Spec.chains
+    (chains_of r)
 
 let test_depth_engines_agree () =
   let f = Tt.of_hex ~n:3 "e8" in
   let o = options ~max_depth:3 () in
-  let stp = Stp_exact.synthesize ~options:o f in
-  let fen = Baselines.fen ~options:o f in
-  let bms = Baselines.bms ~options:o f in
+  let stp = stp o f in
+  let fen = fen o f in
+  let bms = bms o f in
   check_solved "stp" stp;
   check_solved "fen" fen;
   check_solved "bms(depth->fen)" bms;
@@ -144,7 +147,7 @@ let test_depth_engines_agree () =
   Alcotest.(check int) "stp=bms" (gates_of bms) (gates_of stp);
   List.iter
     (fun c -> Alcotest.(check bool) "depth bound" true (Chain.depth c <= 3))
-    (stp.Spec.chains @ fen.Spec.chains @ bms.Spec.chains)
+    (chains_of stp @ chains_of fen @ chains_of bms)
 
 (* --- DSD peeling ablation --- *)
 
@@ -154,12 +157,8 @@ let test_dsd_off_agrees () =
   for _ = 1 to 6 do
     let f = Tt.of_fun 3 (fun _ -> Prng.bool rng) in
     if Tt.support_size f >= 2 then begin
-      let on = Stp_exact.synthesize ~options:(options ()) f in
-      let off =
-        Stp_exact.synthesize
-          ~options:{ (options ()) with Spec.use_dsd = false }
-          f
-      in
+      let on = stp (options ()) f in
+      let off = stp { (options ()) with Spec.use_dsd = false } f in
       check_solved "dsd on" on;
       check_solved "dsd off" off;
       Alcotest.(check int) "same optimum" (gates_of off) (gates_of on);
@@ -167,14 +166,12 @@ let test_dsd_off_agrees () =
         (fun c ->
           Alcotest.(check bool) "off chains correct" true
             (Tt.equal (Chain.simulate c) f))
-        off.Spec.chains
+        (chains_of off)
     end
   done;
   (* the paper's example as a fixed case *)
   let f = Tt.of_hex ~n:4 "8ff8" in
-  let off =
-    Stp_exact.synthesize ~options:{ (options ()) with Spec.use_dsd = false } f
-  in
+  let off = stp { (options ()) with Spec.use_dsd = false } f in
   check_solved "8ff8 no dsd" off;
   Alcotest.(check int) "3 gates" 3 (gates_of off)
 

@@ -4,31 +4,34 @@
 module Tt = Stp_tt.Tt
 module Chain = Stp_chain.Chain
 module Spec = Stp_synth.Spec
+module Engine = Stp_synth.Engine
 module Runner = Stp_harness.Runner
 module Table = Stp_harness.Table
 
-let options = Spec.with_timeout 20.0
+let deadline () = Stp_util.Deadline.after 20.0
+
+let chains_of = function Engine.Solved chains -> chains | _ -> []
 
 let test_fdsd6_all_engines_agree () =
   (* read-once functions: every engine must find the n-1 = 5-gate optimum *)
   let fns = Stp_workloads.Dsd_gen.fdsd_collection ~n:6 ~count:3 ~seed:77 in
   List.iter
     (fun f ->
-      let stp = Stp_synth.Stp_exact.synthesize ~options f in
-      Alcotest.(check bool) "stp solved" true (stp.Spec.status = Spec.Solved);
-      Alcotest.(check int) "read-once optimum" 5 (Option.get stp.Spec.gates);
+      let stp = Stp_synth.Stp_exact.synthesize ~deadline:(deadline ()) f in
+      Alcotest.(check (option int)) "read-once optimum" (Some 5) (Engine.gates stp);
       List.iter
         (fun c ->
           Alcotest.(check bool) "simulates" true
             (Tt.equal (Chain.simulate c) f))
-        stp.Spec.chains;
-      let bms = Stp_synth.Baselines.bms ~options f in
-      match bms.Spec.status with
-      | Spec.Solved ->
-        Alcotest.(check int) "bms agrees" (Option.get stp.Spec.gates)
-          (Option.get bms.Spec.gates)
-      | Spec.Timeout -> () (* CNF baselines may be slow; agreement only
-                              checked when they finish *))
+        (chains_of stp);
+      let bms = Stp_synth.Baselines.bms ~deadline:(deadline ()) f in
+      match bms with
+      | Engine.Solved _ ->
+        Alcotest.(check (option int)) "bms agrees" (Engine.gates stp)
+          (Engine.gates bms)
+      | Engine.Timeout | Engine.Infeasible ->
+        () (* CNF baselines may be slow; agreement only checked when they
+              finish *))
     fns
 
 let test_npn4_easy_classes () =
@@ -40,13 +43,13 @@ let test_npn4_easy_classes () =
   in
   List.iter
     (fun f ->
-      let r = Stp_synth.Stp_exact.synthesize ~options f in
-      Alcotest.(check bool) "solved" true (r.Spec.status = Spec.Solved);
+      let r = Stp_synth.Stp_exact.synthesize ~deadline:(deadline ()) f in
+      Alcotest.(check string) "solved" "solved" (Engine.outcome_label r);
       List.iter
         (fun c ->
           Alcotest.(check bool) "simulates" true
             (Tt.equal (Chain.simulate c) f))
-        r.Spec.chains)
+        (chains_of r))
     fns
 
 let test_runner_aggregates () =
@@ -113,19 +116,16 @@ let test_chains_expand_correctly_across_engines () =
   (* a function with a support hole exercises the expand path everywhere *)
   let f = Tt.expand (Tt.of_hex ~n:3 "e8") 5 [| 0; 2; 4 |] in
   List.iter
-    (fun (name, engine) ->
-      let r = engine ?options:(Some options) f in
-      match r.Spec.status with
-      | Spec.Solved ->
+    (fun (module E : Engine.S) ->
+      match E.synthesize (Engine.spec f) ~deadline:(deadline ()) with
+      | Engine.Solved chains ->
         List.iter
           (fun c ->
-            Alcotest.(check bool) (name ^ " simulates") true
+            Alcotest.(check bool) (E.name ^ " simulates") true
               (Tt.equal (Chain.simulate c) f))
-          r.Spec.chains
-      | Spec.Timeout -> Alcotest.failf "%s timed out" name)
-    (("STP", fun ?options f ->
-         Stp_synth.Stp_exact.synthesize ?options f)
-     :: Stp_synth.Baselines.all)
+          chains
+      | r -> Alcotest.failf "%s: %s" E.name (Engine.outcome_label r))
+    Engine.all
 
 let () =
   Alcotest.run "integration"

@@ -5,9 +5,21 @@ module Chain = Stp_chain.Chain
 module Mchain = Stp_chain.Mchain
 module Multi = Stp_synth.Multi
 module Spec = Stp_synth.Spec
+module Engine = Stp_synth.Engine
+module Deadline = Stp_util.Deadline
 module Prng = Stp_util.Prng
 
-let options = Spec.with_timeout 60.0
+let deadline () = Deadline.after 60.0
+
+let exact ?incremental ?options fs =
+  Multi.exact ?incremental ?options ~deadline:(deadline ()) fs
+
+let solved what = function
+  | Engine.Solved mc -> mc
+  | r -> Alcotest.failf "%s: %s" what (Engine.outcome_label r)
+
+let stp_gates f =
+  Option.get (Engine.gates (Stp_synth.Stp_exact.synthesize ~deadline:(deadline ()) f))
 
 let full_adder = [| Tt.of_hex ~n:3 "96" (* sum *); Tt.of_hex ~n:3 "e8" (* carry *) |]
 
@@ -46,10 +58,8 @@ let test_of_to_chain () =
     (Tt.equal (Chain.simulate back) (Chain.simulate c))
 
 let test_full_adder_exact () =
-  let r = Multi.exact ~options full_adder in
-  Alcotest.(check bool) "solved" true (r.Multi.status = Spec.Solved);
-  Alcotest.(check int) "textbook optimum" 5 (Option.get r.Multi.gates);
-  let mc = Option.get r.Multi.mchain in
+  let mc = solved "full adder" (exact full_adder) in
+  Alcotest.(check int) "textbook optimum" 5 (Mchain.size mc);
   let sims = Mchain.simulate mc in
   Alcotest.(check bool) "sum" true (Tt.equal sims.(0) full_adder.(0));
   Alcotest.(check bool) "carry" true (Tt.equal sims.(1) full_adder.(1))
@@ -57,23 +67,15 @@ let test_full_adder_exact () =
 let test_exact_beats_separate () =
   (* separate optima: sum = 2 gates, carry = 4 gates -> 6 total; sharing
      brings the pair to 5 *)
-  let sum = Stp_synth.Stp_exact.synthesize ~options full_adder.(0) in
-  let carry = Stp_synth.Stp_exact.synthesize ~options full_adder.(1) in
-  let separate =
-    Option.get sum.Spec.gates + Option.get carry.Spec.gates
-  in
+  let separate = stp_gates full_adder.(0) + stp_gates full_adder.(1) in
   Alcotest.(check int) "separate total" 6 separate;
-  let joint = Multi.exact ~options full_adder in
-  Alcotest.(check bool) "joint smaller" true
-    (Option.get joint.Multi.gates < separate)
+  let joint = solved "joint" (exact full_adder) in
+  Alcotest.(check bool) "joint smaller" true (Mchain.size joint < separate)
 
 let test_stp_shared_valid_upper_bound () =
-  let exact = Multi.exact ~options full_adder in
-  let shared = Multi.stp_shared ~options full_adder in
-  Alcotest.(check bool) "solved" true (shared.Multi.status = Spec.Solved);
-  Alcotest.(check bool) "upper bound" true
-    (Option.get shared.Multi.gates >= Option.get exact.Multi.gates);
-  let mc = Option.get shared.Multi.mchain in
+  let exact = solved "exact" (exact full_adder) in
+  let mc = solved "shared" (Multi.stp_shared ~deadline:(deadline ()) full_adder) in
+  Alcotest.(check bool) "upper bound" true (Mchain.size mc >= Mchain.size exact);
   let sims = Mchain.simulate mc in
   Array.iteri
     (fun k f -> Alcotest.(check bool) "correct" true (Tt.equal sims.(k) f))
@@ -82,16 +84,14 @@ let test_stp_shared_valid_upper_bound () =
 let test_shared_outputs_same_function () =
   (* two outputs, one the complement of the other: one gate suffices *)
   let f = Tt.band (Tt.var 2 0) (Tt.var 2 1) in
-  let r = Multi.exact ~options [| f; Tt.bnot f |] in
-  Alcotest.(check bool) "solved" true (r.Multi.status = Spec.Solved);
-  Alcotest.(check int) "one gate" 1 (Option.get r.Multi.gates)
+  let mc = solved "complements" (exact [| f; Tt.bnot f |]) in
+  Alcotest.(check int) "one gate" 1 (Mchain.size mc)
 
 let test_literal_output () =
   (* an output that is a plain projection selects an input signal *)
   let f = Tt.band (Tt.var 2 0) (Tt.var 2 1) in
-  let r = Multi.exact ~options [| f; Tt.var 2 1 |] in
-  Alcotest.(check bool) "solved" true (r.Multi.status = Spec.Solved);
-  Alcotest.(check int) "one gate" 1 (Option.get r.Multi.gates)
+  let mc = solved "literal" (exact [| f; Tt.var 2 1 |]) in
+  Alcotest.(check int) "one gate" 1 (Mchain.size mc)
 
 let test_random_pairs_agree () =
   let rng = Prng.create 23 in
@@ -99,23 +99,41 @@ let test_random_pairs_agree () =
     let f = Tt.of_fun 3 (fun _ -> Prng.bool rng) in
     let g = Tt.of_fun 3 (fun _ -> Prng.bool rng) in
     if (not (Tt.is_const f)) && not (Tt.is_const g) then begin
-      let joint = Multi.exact ~options [| f; g |] in
-      Alcotest.(check bool) "solved" true (joint.Multi.status = Spec.Solved);
-      let mc = Option.get joint.Multi.mchain in
+      let mc = solved "joint" (exact [| f; g |]) in
       let sims = Mchain.simulate mc in
       Alcotest.(check bool) "f" true (Tt.equal sims.(0) f);
       Alcotest.(check bool) "g" true (Tt.equal sims.(1) g);
       (* joint never beats the best single output's optimum *)
-      let single = Stp_synth.Stp_exact.synthesize ~options f in
-      Alcotest.(check bool) "lower bounded" true
-        (Option.get joint.Multi.gates >= Option.get single.Spec.gates)
+      Alcotest.(check bool) "lower bounded" true (Mchain.size mc >= stp_gates f)
     end
   done
 
 let test_constant_rejected () =
-  Alcotest.check_raises "constant"
-    (Invalid_argument "Multi: constant outputs have no Boolean chain")
-    (fun () -> ignore (Multi.exact [| Tt.zero 2 |]))
+  (* No chain signal computes a constant: both engines answer
+     Infeasible, as the single-output entry points do. *)
+  let fs = [| Tt.band (Tt.var 2 0) (Tt.var 2 1); Tt.zero 2 |] in
+  Alcotest.(check string) "exact" "infeasible"
+    (Engine.outcome_label (exact fs));
+  Alcotest.(check string) "stp_shared" "infeasible"
+    (Engine.outcome_label (Multi.stp_shared ~deadline:(deadline ()) fs))
+
+let test_gate_budget_is_infeasible () =
+  (* The full adder needs 5 shared gates: a cap of 2 is refuted, and
+     the refutation is Infeasible, not Timeout. *)
+  let options = { Spec.default_options with Spec.max_gates = 2 } in
+  Alcotest.(check string) "exact" "infeasible"
+    (Engine.outcome_label (exact ~options full_adder))
+
+let test_expired_deadline_times_out () =
+  (* Outputs that need real search (b4d2 as in test_engine, and 1ee6)
+     under a deadline dead on the first poll: one deadline covers the
+     whole call, so both engines stop. *)
+  let fs = [| Tt.of_hex ~n:4 "b4d2"; Tt.of_hex ~n:4 "1ee6" |] in
+  let dead () = Deadline.after ~poll_interval:1 0.0 in
+  Alcotest.(check string) "exact" "timeout"
+    (Engine.outcome_label (Multi.exact ~deadline:(dead ()) fs));
+  Alcotest.(check string) "stp_shared" "timeout"
+    (Engine.outcome_label (Multi.stp_shared ~deadline:(dead ()) fs))
 
 let test_cold_incremental_agree () =
   (* The shared-solver sweep must find the same joint optimum as the
@@ -125,14 +143,10 @@ let test_cold_incremental_agree () =
     let f = Tt.of_fun 3 (fun _ -> Prng.bool rng) in
     let g = Tt.of_fun 3 (fun _ -> Prng.bool rng) in
     if (not (Tt.is_const f)) && not (Tt.is_const g) then begin
-      let cold = Multi.exact ~incremental:false ~options [| f; g |] in
-      let inc = Multi.exact ~incremental:true ~options [| f; g |] in
-      Alcotest.(check bool) "cold solved" true
-        (cold.Multi.status = Spec.Solved);
-      Alcotest.(check bool) "inc solved" true (inc.Multi.status = Spec.Solved);
-      Alcotest.(check (option int))
-        "optimum agrees" cold.Multi.gates inc.Multi.gates;
-      let sims = Mchain.simulate (Option.get inc.Multi.mchain) in
+      let cold = solved "cold" (exact ~incremental:false [| f; g |]) in
+      let inc = solved "inc" (exact ~incremental:true [| f; g |]) in
+      Alcotest.(check int) "optimum agrees" (Mchain.size cold) (Mchain.size inc);
+      let sims = Mchain.simulate inc in
       Alcotest.(check bool) "inc f" true (Tt.equal sims.(0) f);
       Alcotest.(check bool) "inc g" true (Tt.equal sims.(1) g)
     end
@@ -155,5 +169,9 @@ let () =
           Alcotest.test_case "literal output" `Quick test_literal_output;
           Alcotest.test_case "random pairs" `Slow test_random_pairs_agree;
           Alcotest.test_case "constants rejected" `Quick test_constant_rejected;
+          Alcotest.test_case "gate budget is infeasible" `Quick
+            test_gate_budget_is_infeasible;
+          Alcotest.test_case "expired deadline times out" `Quick
+            test_expired_deadline_times_out;
           Alcotest.test_case "cold vs incremental" `Slow
             test_cold_incremental_agree ] ) ]

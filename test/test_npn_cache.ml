@@ -7,7 +7,6 @@
 module Tt = Stp_tt.Tt
 module Npn = Stp_tt.Npn
 module Chain = Stp_chain.Chain
-module Spec = Stp_synth.Spec
 module Stp_exact = Stp_synth.Stp_exact
 module Npn_cache = Stp_synth.Npn_cache
 module Engine = Stp_synth.Engine
@@ -16,12 +15,14 @@ module Store = Stp_store.Store
 module Deadline = Stp_util.Deadline
 module Prng = Stp_util.Prng
 
-let options = Spec.with_timeout 60.0
+let deadline () = Deadline.after 60.0
 
-let gates_of (r : Spec.result) = Option.value ~default:(-1) r.Spec.gates
+let gates_of r = Option.value ~default:(-1) (Engine.gates r)
 
-let check_solved what (r : Spec.result) =
-  Alcotest.(check bool) (what ^ " solved") true (r.Spec.status = Spec.Solved)
+let chains_of = function Engine.Solved chains -> chains | _ -> []
+
+let check_solved what r =
+  Alcotest.(check string) (what ^ " solved") "solved" (Engine.outcome_label r)
 
 let random_tt rng n =
   Tt.of_fun n (fun _ -> Prng.bool rng)
@@ -39,24 +40,24 @@ let test_hit_matches_cold_synthesis () =
   let targets = Stp_workloads.Dsd_gen.fdsd_collection ~n:4 ~count:6 ~seed:2024 in
   List.iter
     (fun f ->
-      let cold = Stp_exact.synthesize ~options f in
+      let cold = Stp_exact.synthesize ~deadline:(deadline ()) f in
       check_solved "cold" cold;
       let cache = Npn_cache.create () in
-      let miss = Npn_cache.synthesize ~options cache f in
+      let miss = Npn_cache.synthesize ~deadline:(deadline ()) cache f in
       check_solved "miss" miss;
       Alcotest.(check int) "miss optimum" (gates_of cold) (gates_of miss);
       (* A different member of the same class must be a replay. *)
       let g = Npn.apply f (random_transform rng 4) in
-      let hit = Npn_cache.synthesize ~options cache g in
+      let hit = Npn_cache.synthesize ~deadline:(deadline ()) cache g in
       check_solved "hit" hit;
       Alcotest.(check int) "hit optimum == cold optimum" (gates_of cold)
         (gates_of hit);
-      Alcotest.(check bool) "chains returned" true (hit.Spec.chains <> []);
+      Alcotest.(check bool) "chains returned" true (chains_of hit <> []);
       List.iter
         (fun c ->
           Alcotest.(check bool) "hit chain simulates to target" true
             (Tt.equal (Chain.simulate c) g))
-        hit.Spec.chains;
+        (chains_of hit);
       let s = Npn_cache.stats cache in
       Alcotest.(check int) "one hit" 1 s.Npn_cache.hits;
       Alcotest.(check int) "one miss" 1 s.Npn_cache.misses;
@@ -75,15 +76,15 @@ let test_hit_count_matches_cold_count () =
       incr tried;
       let cache = Npn_cache.create () in
       (* Warm the cache with the class representative's orbit member. *)
-      ignore (Npn_cache.synthesize ~options cache (Npn.apply f (random_transform rng 3)));
-      let cold = Stp_exact.synthesize ~options f in
-      let hit = Npn_cache.synthesize ~options cache f in
+      ignore (Npn_cache.synthesize ~deadline:(deadline ()) cache (Npn.apply f (random_transform rng 3)));
+      let cold = Stp_exact.synthesize ~deadline:(deadline ()) f in
+      let hit = Npn_cache.synthesize ~deadline:(deadline ()) cache f in
       check_solved "cold" cold;
       check_solved "hit" hit;
       Alcotest.(check int) "same optimum" (gates_of cold) (gates_of hit);
       Alcotest.(check int) "same number of optimum chains"
-        (List.length cold.Spec.chains)
-        (List.length hit.Spec.chains)
+        (List.length (chains_of cold))
+        (List.length (chains_of hit))
     end
   done
 
@@ -95,14 +96,14 @@ let test_many_members_one_synthesis () =
     f :: List.init 15 (fun _ -> Npn.apply f (random_transform rng 4))
   in
   let cache = Npn_cache.create () in
-  let results = List.map (Npn_cache.synthesize ~options cache) members in
+  let results = List.map (Npn_cache.synthesize ~deadline:(deadline ()) cache) members in
   List.iter2
     (fun m r ->
       check_solved "member" r;
       List.iter
         (fun c ->
           Alcotest.(check bool) "simulates" true (Tt.equal (Chain.simulate c) m))
-        r.Spec.chains)
+        (chains_of r))
     members results;
   let s = Npn_cache.stats cache in
   Alcotest.(check int) "one miss for the whole orbit" 1 s.Npn_cache.misses;
@@ -117,7 +118,7 @@ let test_wide_support_bypasses () =
     List.fold_left Tt.bor (Tt.var 7 0) (List.init 6 (fun i -> Tt.var 7 (i + 1)))
   in
   let cache = Npn_cache.create () in
-  let r = Npn_cache.synthesize ~options cache f in
+  let r = Npn_cache.synthesize ~deadline:(deadline ()) cache f in
   check_solved "wide" r;
   Alcotest.(check int) "read-once optimum" 6 (gates_of r);
   let s = Npn_cache.stats cache in
@@ -126,7 +127,7 @@ let test_wide_support_bypasses () =
 
 let test_trivial_targets_skip_cache () =
   let cache = Npn_cache.create () in
-  let r = Npn_cache.synthesize ~options cache (Tt.var 4 2) in
+  let r = Npn_cache.synthesize ~deadline:(deadline ()) cache (Tt.var 4 2) in
   check_solved "projection" r;
   Alcotest.(check int) "gate-free" 0 (gates_of r);
   let s = Npn_cache.stats cache in
@@ -141,16 +142,7 @@ let test_wrapped_baseline_agrees () =
   let (module E : Stp_synth.Engine.S) =
     Npn_cache.wrap cache Stp_synth.Engine.bms
   in
-  let run g =
-    let t0 = Stp_util.Unix_time.now () in
-    let r =
-      E.synthesize (Stp_synth.Engine.spec ~options g)
-        ~deadline:(Spec.deadline_of options)
-    in
-    Stp_synth.Engine.to_spec_result
-      ~elapsed:(Stp_util.Unix_time.now () -. t0)
-      r
-  in
+  let run g = E.synthesize (Stp_synth.Engine.spec g) ~deadline:(deadline ()) in
   let r1 = run f in
   let g = Npn.apply f { Npn.perm = [| 3; 1; 0; 2 |]; input_neg = 5; output_neg = true } in
   let r2 = run g in
@@ -161,7 +153,7 @@ let test_wrapped_baseline_agrees () =
     (fun c ->
       Alcotest.(check bool) "baseline replay simulates" true
         (Tt.equal (Chain.simulate c) g))
-    r2.Spec.chains;
+    (chains_of r2);
   let s = Npn_cache.stats cache in
   Alcotest.(check int) "hit" 1 s.Npn_cache.hits
 
@@ -171,23 +163,23 @@ let test_timeouts_not_cached () =
   let f = Tt.of_hex ~n:4 "b4d2" in
   let cache = Npn_cache.create () in
   let r =
-    Npn_cache.synthesize ~options:(Spec.with_timeout 0.0005) cache f
+    Npn_cache.synthesize ~deadline:(Deadline.after 0.0005) cache f
   in
-  Alcotest.(check bool) "timed out" true (r.Spec.status = Spec.Timeout);
+  Alcotest.(check bool) "timed out" true (r = Engine.Timeout);
   Alcotest.(check int) "nothing cached" 0 (Npn_cache.classes cache);
   (* The timeout is remembered only as a record: no entry, and the same
      budget is answered without a second search. *)
   Alcotest.(check int) "one timeout record" 1 (Npn_cache.unproven cache);
   Alcotest.(check int) "no entries" 0 (List.length (Npn_cache.entries cache));
   let again =
-    Npn_cache.synthesize ~options:(Spec.with_timeout 0.0005) cache f
+    Npn_cache.synthesize ~deadline:(Deadline.after 0.0005) cache f
   in
-  Alcotest.(check bool) "still timed out" true (again.Spec.status = Spec.Timeout);
+  Alcotest.(check bool) "still timed out" true (again = Engine.Timeout);
   let s = Npn_cache.stats cache in
   Alcotest.(check int) "answered by the record" 1 s.Npn_cache.known_timeouts;
   Alcotest.(check int) "one search so far" 1 s.Npn_cache.misses;
   (* With budget restored the same cache must now solve and store. *)
-  let r2 = Npn_cache.synthesize ~options cache f in
+  let r2 = Npn_cache.synthesize ~deadline:(deadline ()) cache f in
   check_solved "after timeout" r2;
   Alcotest.(check int) "class stored" 1 (Npn_cache.classes cache);
   Alcotest.(check int) "record superseded" 0 (Npn_cache.unproven cache)
@@ -284,7 +276,7 @@ let test_hard_class_bound () =
   Alcotest.(check int) "no replay failures" 0 s.Npn_cache.failures;
   (* The record is never an entry, so never persisted. A solved class
      beside it shows the store does receive what is proven. *)
-  ignore (Npn_cache.synthesize ~options cache (Tt.of_hex ~n:4 "8ff8"));
+  ignore (Npn_cache.synthesize ~deadline:(deadline ()) cache (Tt.of_hex ~n:4 "8ff8"));
   Alcotest.(check int) "only the solved class is listed" 1
     (List.length (Npn_cache.entries cache));
   Alcotest.(check int) "only the solved class is counted" 1

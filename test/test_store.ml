@@ -7,19 +7,18 @@ module Tt = Stp_tt.Tt
 module Npn = Stp_tt.Npn
 module Prng = Stp_util.Prng
 module Chain = Stp_chain.Chain
-module Spec = Stp_synth.Spec
 module Engine = Stp_synth.Engine
 module Npn_cache = Stp_synth.Npn_cache
 module Report = Stp_harness.Report
 module Store = Stp_store.Store
 module Daemon = Stp_store.Daemon
 
-let options = Spec.with_timeout 60.0
+let deadline () = Stp_util.Deadline.after 60.0
 
 let solve_into cache f =
   let (module E : Engine.S) = Npn_cache.wrap cache Engine.stp in
   match
-    E.synthesize (Engine.spec ~options f) ~deadline:(Spec.deadline_of options)
+    E.synthesize (Engine.spec f) ~deadline:(deadline ())
   with
   | Engine.Solved _ -> ()
   | Engine.Timeout | Engine.Infeasible -> Alcotest.fail "expected Solved"
@@ -67,8 +66,8 @@ let test_round_trip () =
   List.iter
     (fun f ->
       let a =
-        Npn_cache.solve cache Stp.synthesize (Engine.spec ~options f)
-          ~deadline:(Spec.deadline_of options)
+        Npn_cache.solve cache Stp.synthesize (Engine.spec f)
+          ~deadline:(deadline ())
       in
       Alcotest.(check bool) "target is cached" true
         (a.Npn_cache.source = Npn_cache.Replay);

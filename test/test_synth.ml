@@ -6,17 +6,23 @@
 module Tt = Stp_tt.Tt
 module Chain = Stp_chain.Chain
 module Factor = Stp_synth.Factor
-module Spec = Stp_synth.Spec
 module Stp_exact = Stp_synth.Stp_exact
 module Npn_cache = Stp_synth.Npn_cache
 module Baselines = Stp_synth.Baselines
 module Dag = Stp_topology.Dag
+module Engine = Stp_synth.Engine
+module Deadline = Stp_util.Deadline
 module Prng = Stp_util.Prng
 
-let gates_of (r : Spec.result) = Option.get r.Spec.gates
+let deadline () = Deadline.after 30.0
 
-let check_solved name (r : Spec.result) =
-  if r.Spec.status <> Spec.Solved then Alcotest.failf "%s timed out" name
+let gates_of r = Option.get (Engine.gates r)
+
+let chains_of = function Engine.Solved chains -> chains | _ -> []
+
+let check_solved name = function
+  | Engine.Solved _ -> ()
+  | r -> Alcotest.failf "%s: %s" name (Engine.outcome_label r)
 
 (* --- decompose --- *)
 
@@ -272,14 +278,14 @@ let known_optima =
 let test_stp_known_optima () =
   List.iter
     (fun (name, f, expected) ->
-      let r = Stp_exact.synthesize ~options:(Spec.with_timeout 30.0) f in
+      let r = Stp_exact.synthesize ~deadline:(deadline ()) f in
       check_solved name r;
       Alcotest.(check int) (name ^ " optimum") expected (gates_of r);
       List.iter
         (fun c ->
           Alcotest.(check bool) (name ^ " chain correct") true
             (Tt.equal (Chain.simulate c) f))
-        r.Spec.chains)
+        (chains_of r))
     known_optima
 
 let test_baselines_known_optima () =
@@ -287,7 +293,7 @@ let test_baselines_known_optima () =
     (fun (engine_name, engine) ->
       List.iter
         (fun (name, f, expected) ->
-          let r = engine ?options:(Some (Spec.with_timeout 30.0)) f in
+          let r = engine ~deadline:(deadline ()) f in
           check_solved (engine_name ^ " " ^ name) r;
           Alcotest.(check int)
             (engine_name ^ " " ^ name ^ " optimum")
@@ -296,9 +302,11 @@ let test_baselines_known_optima () =
             (fun c ->
               Alcotest.(check bool) "chain correct" true
                 (Tt.equal (Chain.simulate c) f))
-            r.Spec.chains)
+            (chains_of r))
         known_optima)
-    Baselines.all
+    [ ("BMS", fun ~deadline f -> Baselines.bms ~deadline f);
+      ("FEN", fun ~deadline f -> Baselines.fen ~deadline f);
+      ("ABC", fun ~deadline f -> Baselines.abc ~deadline f) ]
 
 let test_trivial_targets () =
   (* literals need zero gates in every engine *)
@@ -308,34 +316,36 @@ let test_trivial_targets () =
       check_solved "literal" r;
       Alcotest.(check int) "0 gates" 0 (gates_of r);
       Alcotest.(check bool) "simulates" true
-        (Tt.equal (Chain.simulate (List.hd r.Spec.chains)) lit))
-    [ Stp_exact.synthesize lit; Baselines.bms lit; Baselines.fen lit;
-      Baselines.abc lit ];
+        (Tt.equal (Chain.simulate (List.hd (chains_of r))) lit))
+    [ Stp_exact.synthesize ~deadline:(deadline ()) lit;
+      Baselines.bms ~deadline:(deadline ()) lit;
+      Baselines.fen ~deadline:(deadline ()) lit;
+      Baselines.abc ~deadline:(deadline ()) lit ];
   (* complemented literal *)
   let nlit = Tt.bnot (Tt.var 3 0) in
-  let r = Stp_exact.synthesize nlit in
+  let r = Stp_exact.synthesize ~deadline:(deadline ()) nlit in
   Alcotest.(check int) "0 gates" 0 (gates_of r);
   Alcotest.(check bool) "simulates" true
-    (Tt.equal (Chain.simulate (List.hd r.Spec.chains)) nlit)
+    (Tt.equal (Chain.simulate (List.hd (chains_of r))) nlit)
 
 let test_constant_rejected () =
+  (* A constant has no Boolean chain: the answer is Infeasible, not an
+     exception. *)
   List.iter
     (fun f ->
-      Alcotest.check_raises "constant"
-        (Invalid_argument "synthesis: constant target has no Boolean chain")
-        (fun () -> ignore (Stp_exact.synthesize f)))
+      Alcotest.(check string) "constant" "infeasible"
+        (Engine.outcome_label (Stp_exact.synthesize ~deadline:(deadline ()) f)))
     [ Tt.zero 3; Tt.one 3 ]
 
 let test_engines_agree_random () =
   (* On random 3-input functions every engine must report the same
      optimum gate count. *)
   let rng = Prng.create 51 in
-  let options = Spec.with_timeout 30.0 in
   for _ = 1 to 15 do
     let f = Tt.of_fun 3 (fun _ -> Prng.bool rng) in
     if Tt.support_size f >= 1 then begin
-      let stp = Stp_exact.synthesize ~options f in
-      let bms = Baselines.bms ~options f in
+      let stp = Stp_exact.synthesize ~deadline:(deadline ()) f in
+      let bms = Baselines.bms ~deadline:(deadline ()) f in
       check_solved "stp" stp;
       check_solved "bms" bms;
       Alcotest.(check int) "same optimum" (gates_of bms) (gates_of stp)
@@ -346,11 +356,10 @@ let test_cold_incremental_agree () =
   (* The shared-solver and cold paths of every baseline must report the
      same optimum, and both decoded chains must compute the target. *)
   let rng = Prng.create 86 in
-  let options = Spec.with_timeout 30.0 in
   let engines =
-    [ ("bms", fun ~incremental f -> Baselines.bms ~incremental ~options f);
-      ("fen", fun ~incremental f -> Baselines.fen ~incremental ~options f);
-      ("abc", fun ~incremental f -> Baselines.abc ~incremental ~options f) ]
+    [ ("bms", fun ~incremental f -> Baselines.bms ~incremental ~deadline:(deadline ()) f);
+      ("fen", fun ~incremental f -> Baselines.fen ~incremental ~deadline:(deadline ()) f);
+      ("abc", fun ~incremental f -> Baselines.abc ~incremental ~deadline:(deadline ()) f) ]
   in
   for _ = 1 to 8 do
     let f = Tt.of_fun 3 (fun _ -> Prng.bool rng) in
@@ -370,18 +379,18 @@ let test_cold_incremental_agree () =
                 (name ^ " incremental chain correct")
                 true
                 (Tt.equal (Chain.simulate c) f))
-            inc.Spec.chains)
+            (chains_of inc))
         engines
   done
 
 let test_all_solutions_distinct_and_verified () =
   let f = Tt.of_hex ~n:3 "e8" in
-  let r = Stp_exact.synthesize f in
+  let r = Stp_exact.synthesize ~deadline:(deadline ()) f in
   check_solved "maj" r;
   let keys =
     List.map
       (fun c -> Format.asprintf "%a" Chain.pp_compact (Chain.normalise_fanin_order c))
-      r.Spec.chains
+      (chains_of r)
   in
   let distinct = List.sort_uniq compare keys in
   Alcotest.(check int) "no duplicates" (List.length keys) (List.length distinct);
@@ -390,18 +399,18 @@ let test_all_solutions_distinct_and_verified () =
       Alcotest.(check bool) "verified" true
         (Stp_circuitsat.Circuit_solver.verify_chain c f);
       Alcotest.(check int) "optimal size" (gates_of r) (Chain.size c))
-    r.Spec.chains
+    (chains_of r)
 
 let test_all_solutions_superset_of_example7 () =
   (* the two chains of the paper's Example 7 must be among the
      all-solutions output for 0x8ff8 *)
   let f = Tt.of_hex ~n:4 "8ff8" in
-  let r = Stp_exact.synthesize f in
+  let r = Stp_exact.synthesize ~deadline:(deadline ()) f in
   check_solved "8ff8" r;
   let normalised =
     List.map
       (fun c -> Format.asprintf "%a" Chain.pp_compact (Chain.normalise_fanin_order c))
-      r.Spec.chains
+      (chains_of r)
   in
   let expect_chain steps =
     let c = Chain.make ~n:4 ~steps ~output:6 () in
@@ -413,7 +422,7 @@ let test_all_solutions_superset_of_example7 () =
     List.mem key normalised
     || List.exists
          (fun c' -> Tt.equal (Chain.simulate c') (Chain.simulate c))
-         r.Spec.chains
+         (chains_of r)
   in
   Alcotest.(check bool) "Example 7 variant 1" true
     (expect_chain
@@ -431,32 +440,32 @@ let test_support_reduction () =
      compacted form, with correctly relabelled inputs *)
   let core = Tt.of_hex ~n:3 "96" in
   let f = Tt.expand core 6 [| 1; 3; 5 |] in
-  let r = Stp_exact.synthesize f in
+  let r = Stp_exact.synthesize ~deadline:(deadline ()) f in
   check_solved "embedded xor3" r;
   Alcotest.(check int) "2 gates" 2 (gates_of r);
   List.iter
     (fun c ->
       Alcotest.(check int) "over 6 vars" 6 c.Chain.n;
       Alcotest.(check bool) "simulates" true (Tt.equal (Chain.simulate c) f))
-    r.Spec.chains
+    (chains_of r)
 
 let test_timeout_reported () =
   (* an extremely tight deadline must yield a clean timeout *)
   let f = Tt.of_hex ~n:4 "1ee6" in
-  let r = Stp_exact.synthesize ~options:(Spec.with_timeout 0.001) f in
-  Alcotest.(check bool) "timeout" true (r.Spec.status = Spec.Timeout);
-  Alcotest.(check (list unit)) "no chains" [] (List.map ignore r.Spec.chains)
+  let r = Stp_exact.synthesize ~deadline:(Deadline.after 0.001) f in
+  Alcotest.(check bool) "timeout" true (r = Engine.Timeout)
 
 (* Canonicalise, solve the representative, replay onto the target:
    the NPN route must find the direct optimum. *)
 let test_synthesize_npn_agrees () =
   let rng = Prng.create 57 in
-  let options = Spec.with_timeout 30.0 in
   for _ = 1 to 8 do
     let f = Tt.of_fun 3 (fun _ -> Prng.bool rng) in
     if Tt.support_size f >= 2 then begin
-      let direct = Stp_exact.synthesize ~options f in
-      let via_npn = Npn_cache.synthesize ~options (Npn_cache.create ()) f in
+      let direct = Stp_exact.synthesize ~deadline:(deadline ()) f in
+      let via_npn =
+        Npn_cache.synthesize ~deadline:(deadline ()) (Npn_cache.create ()) f
+      in
       check_solved "direct" direct;
       check_solved "npn" via_npn;
       Alcotest.(check int) "same optimum" (gates_of direct) (gates_of via_npn);
@@ -464,7 +473,7 @@ let test_synthesize_npn_agrees () =
         (fun c ->
           Alcotest.(check bool) "npn chain simulates" true
             (Tt.equal (Chain.simulate c) f))
-        via_npn.Spec.chains
+        (chains_of via_npn)
     end
   done
 
@@ -475,13 +484,13 @@ let test_fdsd6_optimum () =
     let d = Tt.var 6 3 and e = Tt.var 6 4 and g = Tt.var 6 5 in
     Tt.bor (Tt.band (Tt.bxor a b) c) (Tt.band (Tt.bor d e) (Tt.bnot g))
   in
-  let r = Stp_exact.synthesize ~options:(Spec.with_timeout 30.0) f in
+  let r = Stp_exact.synthesize ~deadline:(deadline ()) f in
   check_solved "fdsd6" r;
   Alcotest.(check int) "read-once optimum" 5 (gates_of r);
   List.iter
     (fun ch ->
       Alcotest.(check bool) "simulates" true (Tt.equal (Chain.simulate ch) f))
-    r.Spec.chains
+    (chains_of r)
 
 let () =
   Alcotest.run "synth"
